@@ -380,13 +380,9 @@ func BenchmarkTaskGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkPathEnumeration measures the EP path machinery on a DAG with an
-// exponential path count (2^14 complete paths), exercising the cap check.
-// enumerate-16k measures what the analysis actually consumes — the
-// signature-collapsed views of EnumerateViews, which fold all 16k paths of
-// this DAG into a single view — while enumerate-16k-legacy retains the
-// concrete per-path enumeration kept for tests and diagnostics.
-func BenchmarkPathEnumeration(b *testing.B) {
+// diamondChainTask builds a finalized chain of 14 diamonds: 2^14 complete
+// paths over 43 vertices.
+func diamondChainTask(b *testing.B) *Task {
 	ts := NewTaskset(4, 1)
 	task := NewTask(0, 10*rt.Millisecond, 10*rt.Millisecond)
 	prev := task.AddVertex(10 * rt.Microsecond)
@@ -405,6 +401,17 @@ func BenchmarkPathEnumeration(b *testing.B) {
 	if err := ts.Finalize(); err != nil {
 		b.Fatal(err)
 	}
+	return task
+}
+
+// BenchmarkPathEnumeration measures the EP path machinery on a DAG with an
+// exponential path count (2^14 complete paths), exercising the cap check.
+// enumerate-16k measures what the analysis actually consumes — the
+// signature-collapsed views of EnumerateViews, which fold all 16k paths of
+// this DAG into a single view — while enumerate-16k-legacy retains the
+// concrete per-path enumeration kept for tests and diagnostics.
+func BenchmarkPathEnumeration(b *testing.B) {
+	task := diamondChainTask(b)
 	b.Run("count", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -412,9 +419,22 @@ func BenchmarkPathEnumeration(b *testing.B) {
 		}
 	})
 	b.Run("bounds-dp", func(b *testing.B) {
+		// Path bounds are memoized per task, so every iteration runs the
+		// DP on a task that has never computed them; the fresh tasks are
+		// built in batches outside the timer.
 		b.ReportAllocs()
+		var fresh []*Task
 		for i := 0; i < b.N; i++ {
-			task.ComputePathBounds()
+			if len(fresh) == 0 {
+				b.StopTimer()
+				fresh = make([]*Task, min(b.N-i, 256))
+				for k := range fresh {
+					fresh[k] = diamondChainTask(b)
+				}
+				b.StartTimer()
+			}
+			fresh[0].ComputePathBounds()
+			fresh = fresh[1:]
 		}
 	})
 	b.Run("enumerate-16k", func(b *testing.B) {
@@ -448,6 +468,30 @@ func BenchmarkPathEnumeration(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFig2Sweep regenerates all four Fig. 2 subplots at one taskset
+// per utilization point through experiments.RunGrid: the paper's
+// evaluation loop end to end (generation plus the five analyses), as the
+// repository benchmark's fig2-sweep workload runs it. Two workers keep
+// allocs/op independent of the machine's core count. Gated by
+// cmd/benchgate, so sweep-level allocation growth fails CI.
+func BenchmarkFig2Sweep(b *testing.B) {
+	var scens []taskgen.Scenario
+	for _, sub := range []string{"2a", "2b", "2c", "2d"} {
+		scen, err := taskgen.Fig2Scenario(sub)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scens = append(scens, scen)
+	}
+	tmpl := experiments.Campaign{TasksetsPerPoint: 1, Seed: 2020, Parallelism: 2}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.RunGrid(tmpl, scens); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkGridSweep measures the grid-level experiment scheduler: many

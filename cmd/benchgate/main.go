@@ -7,7 +7,8 @@
 //	benchgate gate -baseline BENCH_7.json -out new.json
 //
 // "run" executes `go test -run ^$ -bench <regex> -benchmem -count N` in
-// the current module and writes the aggregated snapshot (median ns/op,
+// the current module, once per group of the pinned suite (or once for an
+// explicit -bench), and writes the aggregated snapshot (median ns/op,
 // minimum B/op and allocs/op per benchmark). "compare" gates one snapshot
 // file against another. "gate" does both — CI's single step — exiting 1
 // when any benchmark regresses beyond the thresholds (-time-threshold,
@@ -35,13 +36,23 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// defaultBench pins the CI benchmark subset: the analysis hot path (the
+// benchGroup is one `go test -bench` invocation: a benchmark regex and the
+// fixed -benchtime iteration count it runs at.
+type benchGroup struct{ bench, benchtime string }
+
+// defaultSuite pins the CI benchmark subset: the analysis hot path (the
 // zero-allocation trajectory this gate exists for), the view enumeration
 // engine under it, the instrumented variant that pins the per-stage
-// observability overhead at zero extra allocations, and the incremental
+// observability overhead at zero extra allocations, the incremental
 // delta path whose cache-hit-territory latency POST /v1/analyze/delta
-// claims. Fixed -benchtime iteration counts keep allocs/op deterministic.
-const defaultBench = "BenchmarkAnalysisMethods|BenchmarkPathEnumeration|BenchmarkInstrumentedAnalysis|BenchmarkDeltaAnalyze"
+// claims, taskset generation, and the whole Fig. 2 sweep those layers
+// compose into. Fixed -benchtime iteration counts keep allocs/op
+// deterministic; one sweep op takes about half a second, so the sweep
+// group runs fewer of them.
+var defaultSuite = []benchGroup{
+	{"BenchmarkAnalysisMethods|BenchmarkPathEnumeration|BenchmarkInstrumentedAnalysis|BenchmarkDeltaAnalyze|BenchmarkTaskGeneration", "100x"},
+	{"BenchmarkFig2Sweep", "5x"},
+}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
@@ -55,9 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out       = fs.String("out", "", "write the aggregated snapshot JSON here")
 		baseline  = fs.String("baseline", "", "committed snapshot to gate against")
 		current   = fs.String("current", "", "snapshot to gate (compare mode)")
-		bench     = fs.String("bench", defaultBench, "benchmark regex passed to go test")
+		bench     = fs.String("bench", "", "benchmark regex passed to go test (default: the pinned suite)")
 		count     = fs.Int("count", 5, "benchmark repetitions (median/min aggregated)")
-		benchtime = fs.String("benchtime", "100x", "go test -benchtime value")
+		benchtime = fs.String("benchtime", "", "go test -benchtime value (default: 100x, or each pinned group's own)")
 		pkg       = fs.String("pkg", ".", "package to benchmark")
 		timeTh    = fs.Float64("time-threshold", 0.50, "allowed fractional ns/op growth")
 		allocTh   = fs.Float64("alloc-threshold", 0.10, "allowed fractional allocs/op growth")
@@ -67,6 +78,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	th := benchgate.Thresholds{Time: *timeTh, Alloc: *allocTh, AllocSlack: *slack}
+	suite := defaultSuite
+	if *bench != "" {
+		suite = []benchGroup{{*bench, "100x"}}
+	}
+	if *benchtime != "" {
+		suite = append([]benchGroup(nil), suite...)
+		for i := range suite {
+			suite[i].benchtime = *benchtime
+		}
+	}
 
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "benchgate: %v\n", err)
@@ -74,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	switch mode {
 	case "run":
-		snap, err := runBenchmarks(*bench, *benchtime, *pkg, *count, stderr)
+		snap, err := runSuite(suite, *pkg, *count, stderr)
 		if err != nil {
 			return fail(err)
 		}
@@ -94,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		cur, err := runBenchmarks(*bench, *benchtime, *pkg, *count, stderr)
+		cur, err := runSuite(suite, *pkg, *count, stderr)
 		if err != nil {
 			return fail(err)
 		}
@@ -106,6 +127,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchgate: unknown mode %q (want run, compare or gate)\n", mode)
 		return 2
 	}
+}
+
+// runSuite runs every group and merges their snapshots.
+func runSuite(suite []benchGroup, pkg string, count int, stderr io.Writer) (*benchgate.Snapshot, error) {
+	var snap *benchgate.Snapshot
+	for _, g := range suite {
+		s, err := runBenchmarks(g.bench, g.benchtime, pkg, count, stderr)
+		if err != nil {
+			return nil, err
+		}
+		if snap == nil {
+			snap = s
+			continue
+		}
+		for name, r := range s.Benchmarks {
+			snap.Benchmarks[name] = r
+		}
+	}
+	return snap, nil
 }
 
 // runBenchmarks shells out to go test and parses the combined output.

@@ -51,13 +51,6 @@ type Delta struct {
 	deps  map[rt.ProcID][]rt.TaskID
 }
 
-// epsRow is one retained epsilon memo entry, stored sorted by (proc, base)
-// so re-seeding iterates deterministically.
-type epsRow struct {
-	key epsKey
-	val rt.Time
-}
-
 // deltaCapture snapshots per-task analysis internals during a WCRTs pass.
 // It is reset at the start of every pass, so after Algorithm1 returns it
 // holds exactly the final round's data. plans is the exception: view
@@ -83,14 +76,11 @@ func (c *deltaCapture) reset() {
 }
 
 // record snapshots one converged task: its per-view fixed points and its
-// epsilon memo rows.
-func (c *deltaCapture) record(id rt.TaskID, xs []rt.Time, memo map[epsKey]rt.Time) {
+// epsilon memo rows, sorted by (proc, base) so re-seeding iterates
+// deterministically.
+func (c *deltaCapture) record(id rt.TaskID, xs []rt.Time, memo *epsTable) {
 	c.fix[id] = append([]rt.Time(nil), xs...)
-	//schedlint:ignore hotpath capture runs only under the delta analyzer, once per converged task
-	rows := make([]epsRow, 0, len(memo))
-	for k, v := range memo {
-		rows = append(rows, epsRow{key: k, val: v})
-	}
+	rows := append([]epsRow(nil), memo.rows...)
 	//schedlint:ignore hotpath capture runs only under the delta analyzer, once per converged task
 	sort.Slice(rows, func(a, b int) bool {
 		if rows[a].key.proc != rows[b].key.proc {

@@ -244,7 +244,7 @@ type taskCtx struct {
 	// base = L_{i,q} + off-path co-located CS work + beta, so views
 	// sharing a base (the common case after signature collapse) reuse it.
 	// rt.Infinity marks a diverged recurrence.
-	epsMemo map[epsKey]rt.Time
+	epsMemo *epsTable
 	// epsScratch holds the per-processor epsilon values of the view under
 	// evaluation in the single-view path (pathWCRT: Explain and reference
 	// implementations); the batched path keeps its own flat array.
@@ -361,9 +361,9 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	// (proc, base); re-seeding reproduces exactly the entries the
 	// from-scratch fixed points would compute (see Delta.ApplyTo).
 	for _, row := range a.epsSeed {
-		s.epsMemo[row.key] = row.val
+		s.epsMemo.put(row.key, row.val)
 	}
-	ctx.epsMemo = s.epsMemo
+	ctx.epsMemo = &s.epsMemo
 	ctx.epsScratch = s.times.alloc(len(ctx.procs))
 
 	ctx.clusterRes = p.AppendClusterResources(s.resIDs.alloc(nr)[:0], t.ID)
@@ -618,7 +618,7 @@ func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
 		}
 		base := rt.SatAdd(pc.resCS[j], rt.SatAdd(offCoWork, pc.beta))
 		key := epsKey{proc: pc.proc, base: base}
-		perReq, hit := ctx.epsMemo[key]
+		perReq, hit := ctx.epsMemo.get(key)
 		if !hit {
 			//schedlint:ignore hotpath closure captures only locals that never escape FixPoint; the alloc-gate benchmarks hold it to 0 allocs/op
 			w, ok := rta.FixPoint(base, t.Deadline, func(w rt.Time) rt.Time {
@@ -629,7 +629,7 @@ func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
 			} else {
 				perReq = rt.Infinity
 			}
-			ctx.epsMemo[key] = perReq
+			ctx.epsMemo.put(key, perReq)
 		}
 		if perReq >= rt.Infinity {
 			return rt.Infinity

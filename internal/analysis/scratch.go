@@ -140,7 +140,7 @@ type Scratch struct {
 	resIDs     arena[rt.ResourceID]
 	i64s       arena[int64]
 	bools      arena[bool]
-	epsMemo    map[epsKey]rt.Time
+	epsMemo    epsTable
 	sharedView [1]pathView
 
 	// rec, when non-nil, receives per-stage pipeline timings. It survives
@@ -183,7 +183,6 @@ func NewScratch() *Scratch {
 	return &Scratch{
 		viewCache: make(map[rt.TaskID]cachedViews),
 		wcrts:     make(map[rt.TaskID]rt.Time),
-		epsMemo:   make(map[epsKey]rt.Time),
 	}
 }
 
@@ -207,5 +206,5 @@ func (s *Scratch) taskReset() {
 	s.resIDs.reset()
 	s.i64s.reset()
 	s.bools.reset()
-	clear(s.epsMemo)
+	s.epsMemo.reset()
 }

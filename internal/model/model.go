@@ -14,6 +14,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 
 	"dpcpp/internal/rt"
 )
@@ -70,6 +71,11 @@ type Task struct {
 	heads       []rt.VertexID
 	tails       []rt.VertexID
 	canon       []byte // canonical body (vertices/edges/CS), see hash.go
+
+	// bounds memoizes ComputePathBounds; boundsOnce makes the first call
+	// safe when several analyses of one taskset run concurrently.
+	boundsOnce sync.Once
+	bounds     *PathBounds
 }
 
 // NewTask returns an empty task with the given identity and timing.

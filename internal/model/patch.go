@@ -234,6 +234,8 @@ func (e *taskEdit) build() *Task {
 // recomputes only the WCET sum, the longest path and the canonical body.
 // The only validation a WCET edit can invalidate is L_{i,q}-work fitting
 // inside the vertex, which is re-checked here with Finalize's error text.
+// The path-bounds memo is deliberately not carried over: WCET edits change
+// the length bounds, so the clone computes its own on first use.
 func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
 	nt := &Task{
 		ID:       t.ID,

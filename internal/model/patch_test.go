@@ -100,6 +100,29 @@ func TestPatchWCETFastPathMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestPatchWCETCloneRecomputesPathBounds: the WCET fast path shares the
+// base task's structure but must not inherit its memoized path bounds,
+// which depend on the WCETs.
+func TestPatchWCETCloneRecomputesPathBounds(t *testing.T) {
+	ts := patchBase(t)
+	base := ts.Task(0).ComputePathBounds() // memoize on the base first
+	out, _ := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 2, Value: 300 * rt.Microsecond})
+	got := out.Task(0).ComputePathBounds()
+	if got == base {
+		t.Fatal("patched clone returned the base task's bounds")
+	}
+	if want := refPathBounds(out.Task(0)); !pathBoundsEqual(got, want) {
+		t.Fatalf("patched bounds %+v, per-quantity DP %+v", got, want)
+	}
+	if got.MinLength != base.MinLength+220*rt.Microsecond || got.MaxLength != base.MaxLength+220*rt.Microsecond {
+		t.Errorf("patched length bounds [%d, %d] do not reflect the 220us bump over [%d, %d]",
+			got.MinLength, got.MaxLength, base.MinLength, base.MaxLength)
+	}
+	if again := ts.Task(0).ComputePathBounds(); again != base || !pathBoundsEqual(again, refPathBounds(ts.Task(0))) {
+		t.Error("patching disturbed the base task's memoized bounds")
+	}
+}
+
 func TestPatchPointerSharing(t *testing.T) {
 	ts := patchBase(t)
 	out, _ := applyOne(t, ts, PatchOp{Op: OpSetWCET, Task: 0, Vertex: 0, Value: 101 * rt.Microsecond})

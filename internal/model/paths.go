@@ -147,87 +147,106 @@ type PathBounds struct {
 	MaxReq     []int64 // per resource: max over paths of N^lambda_{i,q}
 }
 
-// ComputePathBounds computes PathBounds in O((V+E) * nr) by per-resource
-// dynamic programming over the topological order, without enumerating paths.
+// ComputePathBounds returns the task's PathBounds. They are computed on
+// first use, in one reverse-topological pass that fills every bound at
+// once (O((V+E) * nr) without enumerating paths), and memoized for the
+// task's lifetime: SPIN, LPP and the EN view all consume the same bounds,
+// and concurrent first calls compute them once. Callers must treat the
+// result as read-only.
 func (t *Task) ComputePathBounds() *PathBounds {
 	t.mustFinal()
+	t.boundsOnce.Do(t.fillPathBounds)
+	return t.bounds
+}
+
+func (t *Task) fillPathBounds() { t.bounds = t.computePathBounds() }
+
+// computePathBounds runs the fused dynamic program. Every vertex x gets a
+// row of extremes over the paths from x to a tail: the minimum
+// non-critical WCET, the minimum length, then per requested resource the
+// minimum and the maximum request count. A row is its successors'
+// element-wise extremes plus the vertex's own weights, so one pass in
+// reverse topological order fills every row.
+func (t *Task) computePathBounds() *PathBounds {
 	nr := len(t.nReq)
+	//schedlint:ignore hotpath path bounds are computed once per finalized task and memoized behind boundsOnce
+	reqs := make([]int64, 2*nr)
 	b := &PathBounds{
 		MaxLength: t.longestPath,
-		//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-		MinReq: make([]int64, nr),
-		//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-		MaxReq: make([]int64, nr),
+		MinReq:    reqs[:nr:nr],
+		MaxReq:    reqs[nr:],
 	}
 
-	// Min non-critical length and min total length over complete paths.
-	//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-	b.MinNonCrit = t.minOverPaths(func(x rt.VertexID) int64 {
-		return t.VertexNonCrit(x)
-	})
-	//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-	b.MinLength = t.minOverPaths(func(x rt.VertexID) int64 {
-		return t.Vertices[x].WCET
-	})
+	// col[q] is resource q's column among the requested resources, or -1
+	// when the task never requests q (both of its bounds stay 0).
+	//schedlint:ignore hotpath path bounds are computed once per finalized task and memoized behind boundsOnce
+	col := make([]int, nr)
+	nu := 0
+	for q, n := range t.nReq {
+		col[q] = -1
+		if n != 0 {
+			col[q] = nu
+			nu++
+		}
+	}
+	const minNonCrit, minLength, minReq = 0, 1, 2
+	maxReq := minReq + nu // columns before maxReq are minima, the rest maxima
+	width := maxReq + nu
+	//schedlint:ignore hotpath path bounds are computed once per finalized task and memoized behind boundsOnce
+	rows := make([]int64, len(t.Vertices)*width)
 
-	for q := 0; q < nr; q++ {
-		if t.nReq[q] == 0 {
-			continue
+	for i := len(t.topo) - 1; i >= 0; i-- {
+		x := int(t.topo[i])
+		r := rows[x*width : (x+1)*width]
+		if succ := t.succ[x]; len(succ) > 0 {
+			y := int(succ[0])
+			copy(r, rows[y*width:(y+1)*width])
+			for _, y := range succ[1:] {
+				foldExtremes(r, rows[int(y)*width:(int(y)+1)*width], maxReq)
+			}
 		}
-		//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-		weight := func(x rt.VertexID) int64 {
-			return int64(t.Vertices[x].Requests[rt.ResourceID(q)])
+		v := t.Vertices[x]
+		nonCrit := v.WCET // C'_{i,x}, as VertexNonCrit computes it
+		for q, n := range v.Requests {
+			nonCrit -= rt.SatMul(int64(n), t.CS(q))
+			if j := col[q]; j >= 0 {
+				r[minReq+j] += int64(n)
+				r[maxReq+j] += int64(n)
+			}
 		}
-		b.MinReq[q] = t.minOverPaths(weight)
-		b.MaxReq[q] = t.maxOverPaths(weight)
+		r[minNonCrit] += nonCrit
+		r[minLength] += v.WCET
+	}
+
+	// Fold the heads into the first head's row (no vertex reads a head's
+	// row after the pass).
+	h0 := int(t.heads[0])
+	best := rows[h0*width : (h0+1)*width]
+	for _, h := range t.heads[1:] {
+		foldExtremes(best, rows[int(h)*width:(int(h)+1)*width], maxReq)
+	}
+	b.MinNonCrit = best[minNonCrit]
+	b.MinLength = best[minLength]
+	for q, j := range col {
+		if j >= 0 {
+			b.MinReq[q] = best[minReq+j]
+			b.MaxReq[q] = best[maxReq+j]
+		}
 	}
 	return b
 }
 
-// minOverPaths returns min over complete paths of the sum of w(x) along the
-// path. DP in reverse topological order.
-func (t *Task) minOverPaths(w func(rt.VertexID) int64) int64 {
-	return t.optOverPaths(w, func(a, b int64) bool { return a < b })
-}
-
-// maxOverPaths returns max over complete paths of the sum of w(x).
-func (t *Task) maxOverPaths(w func(rt.VertexID) int64) int64 {
-	return t.optOverPaths(w, func(a, b int64) bool { return a > b })
-}
-
-func (t *Task) optOverPaths(w func(rt.VertexID) int64, better func(a, b int64) bool) int64 {
-	//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-	best := make([]int64, len(t.Vertices))
-	//schedlint:ignore hotpath path bounds are computed once per task and cached by every caller
-	seen := make([]bool, len(t.Vertices))
-	for i := len(t.topo) - 1; i >= 0; i-- {
-		x := t.topo[i]
-		if len(t.succ[x]) == 0 {
-			best[x] = w(x)
-			seen[x] = true
-			continue
-		}
-		var opt int64
-		first := true
-		for _, y := range t.succ[x] {
-			if !seen[y] {
-				continue
-			}
-			if first || better(best[y], opt) {
-				opt = best[y]
-				first = false
-			}
-		}
-		best[x] = w(x) + opt
-		seen[x] = true
-	}
-	var opt int64
-	first := true
-	for _, h := range t.heads {
-		if first || better(best[h], opt) {
-			opt = best[h]
-			first = false
+// foldExtremes folds row src into dst: element-wise min over the columns
+// before split, element-wise max from split on.
+func foldExtremes(dst, src []int64, split int) {
+	for c := 0; c < split; c++ {
+		if src[c] < dst[c] {
+			dst[c] = src[c]
 		}
 	}
-	return opt
+	for c := split; c < len(dst); c++ {
+		if src[c] > dst[c] {
+			dst[c] = src[c]
+		}
+	}
 }

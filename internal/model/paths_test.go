@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -269,5 +270,130 @@ func TestDiamondPathCount(t *testing.T) {
 	}
 	if got, want := task.CountPaths(), int64(1<<k); got != want {
 		t.Errorf("CountPaths = %d, want %d", got, want)
+	}
+}
+
+// refPathBounds is the per-quantity dynamic program the fused pass
+// replaced: one reverse-topological pass per bound, each with its own
+// weight function.
+func refPathBounds(t *Task) *PathBounds {
+	opt := func(w func(rt.VertexID) int64, better func(a, b int64) bool) int64 {
+		best := make([]int64, len(t.Vertices))
+		for i := len(t.topo) - 1; i >= 0; i-- {
+			x := t.topo[i]
+			var o int64
+			for k, y := range t.succ[x] {
+				if k == 0 || better(best[y], o) {
+					o = best[y]
+				}
+			}
+			best[x] = w(x) + o
+		}
+		var o int64
+		for k, h := range t.heads {
+			if k == 0 || better(best[h], o) {
+				o = best[h]
+			}
+		}
+		return o
+	}
+	less := func(a, b int64) bool { return a < b }
+	more := func(a, b int64) bool { return a > b }
+	nr := len(t.nReq)
+	b := &PathBounds{MaxLength: t.longestPath, MinReq: make([]int64, nr), MaxReq: make([]int64, nr)}
+	b.MinNonCrit = opt(t.VertexNonCrit, less)
+	b.MinLength = opt(func(x rt.VertexID) int64 { return t.Vertices[x].WCET }, less)
+	for q := 0; q < nr; q++ {
+		if t.nReq[q] == 0 {
+			continue
+		}
+		w := func(x rt.VertexID) int64 { return int64(t.Vertices[x].Requests[rt.ResourceID(q)]) }
+		b.MinReq[q], b.MaxReq[q] = opt(w, less), opt(w, more)
+	}
+	return b
+}
+
+func pathBoundsEqual(a, b *PathBounds) bool {
+	if a.MaxLength != b.MaxLength || a.MinLength != b.MinLength ||
+		a.MinNonCrit != b.MinNonCrit || len(a.MinReq) != len(b.MinReq) || len(a.MaxReq) != len(b.MaxReq) {
+		return false
+	}
+	for q := range a.MinReq {
+		if a.MinReq[q] != b.MinReq[q] || a.MaxReq[q] != b.MaxReq[q] {
+			return false
+		}
+	}
+	return true
+}
+
+// richDAGTask is randomDAGTask with several requests per vertex, per-
+// resource CS lengths and resources the task never touches, so every
+// column of the fused pass is exercised.
+func richDAGTask(r *rand.Rand, nVerts, nRes int) *Task {
+	task := NewTask(0, rt.Second, rt.Second)
+	for i := 0; i < nVerts; i++ {
+		task.AddVertex(rt.Time(50+r.Intn(200)) * rt.Microsecond)
+	}
+	for i := 0; i < nVerts; i++ {
+		for j := i + 1; j < nVerts; j++ {
+			if r.Float64() < 0.3 {
+				task.AddEdge(rt.VertexID(i), rt.VertexID(j))
+			}
+		}
+	}
+	for q := 0; q < nRes; q++ {
+		if r.Intn(4) == 0 {
+			continue // unused resource
+		}
+		cs := rt.Time(1+r.Intn(5)) * rt.Microsecond
+		for x := 0; x < nVerts; x++ {
+			if r.Intn(3) == 0 {
+				task.AddRequest(rt.VertexID(x), rt.ResourceID(q), 1+r.Intn(4), cs)
+			}
+		}
+	}
+	if err := task.Finalize(nRes); err != nil {
+		panic(err)
+	}
+	return task
+}
+
+func TestPathBoundsMatchPerQuantityDP(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		task := richDAGTask(r, 1+r.Intn(30), r.Intn(6))
+		got, want := task.ComputePathBounds(), refPathBounds(task)
+		if !pathBoundsEqual(got, want) {
+			t.Fatalf("trial %d: fused bounds %+v, per-quantity DP %+v", trial, got, want)
+		}
+		if again := task.ComputePathBounds(); again != got {
+			t.Fatalf("trial %d: second call recomputed the bounds", trial)
+		}
+	}
+}
+
+// TestPathBoundsConcurrentFirstUse mirrors the server running the five
+// analyses of one taskset concurrently: every goroutine must see the one
+// memoized result (run under -race in CI).
+func TestPathBoundsConcurrentFirstUse(t *testing.T) {
+	task := richDAGTask(rand.New(rand.NewSource(12)), 25, 4)
+	const n = 5
+	got := make([]*PathBounds, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = task.ComputePathBounds()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("goroutine %d got a different bounds instance", i)
+		}
+	}
+	if !pathBoundsEqual(got[0], refPathBounds(task)) {
+		t.Fatalf("concurrent bounds %+v, per-quantity DP %+v", got[0], refPathBounds(task))
 	}
 }

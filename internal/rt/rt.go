@@ -11,6 +11,7 @@ package rt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in time or a duration, in nanoseconds.
@@ -62,7 +63,20 @@ func SatAdd(a, b Time) Time {
 }
 
 // SatMul multiplies two non-negative durations, saturating at Infinity.
+//
+// Non-negative operands need no division: the full 128-bit product
+// saturates exactly when it exceeds Infinity, which is the condition
+// a > Infinity/b (a > floor(Inf/b) <=> a*b > Inf). Negative operands, which
+// durations never are, go through that division-based guard: a negative b
+// saturates, a negative a passes through.
 func SatMul(a, b Time) Time {
+	if a|b >= 0 {
+		hi, lo := bits.Mul64(uint64(a), uint64(b))
+		if hi != 0 || lo > uint64(Infinity) {
+			return Infinity
+		}
+		return Time(lo)
+	}
 	if a == 0 || b == 0 {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -53,6 +54,68 @@ func TestSatMulSaturates(t *testing.T) {
 	if got := SatMul(7, 6); got != 42 {
 		t.Errorf("SatMul(7,6) = %d", got)
 	}
+}
+
+// refSatMul is the division-guarded SatMul the division-free version
+// replaced; the differential tests below pin the two to identical results
+// on every operand pair, negative operands included.
+func refSatMul(a, b Time) Time {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	if a >= Infinity || b >= Infinity || a > Infinity/b {
+		return Infinity
+	}
+	return a * b
+}
+
+func TestSatMulMatchesDivisionReference(t *testing.T) {
+	edges := []Time{
+		0, 1, 2, 3, 7, 1000, Microsecond, Second,
+		Infinity / 3, Infinity/3 + 1, Infinity / 2, Infinity/2 + 1,
+		Infinity - 1, Infinity, Infinity + 1, math.MaxInt64 - 1, math.MaxInt64,
+		-1, -2, -1000, -Infinity, math.MinInt64 + 1, math.MinInt64,
+		1 << 30, 1<<30 + 1, 1 << 31, 1 << 32, 3037000499, 3037000500,
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			if got, want := SatMul(a, b), refSatMul(a, b); got != want {
+				t.Errorf("SatMul(%d, %d) = %d, reference %d", a, b, got, want)
+			}
+		}
+	}
+	// Infinity = 2^61-1 is prime, so 1*Infinity is the only product landing
+	// exactly on it; the largest products below it must not saturate.
+	for _, c := range []struct{ a, b, want Time }{
+		{1, Infinity, Infinity},
+		{Infinity, 1, Infinity},
+		{Infinity / 7, 7, Infinity / 7 * 7},
+		{Infinity/7 + 1, 7, Infinity},
+		{1 << 30, 1 << 30, 1 << 60},
+		{1 << 31, 1 << 30, Infinity},
+	} {
+		if got := SatMul(c.a, c.b); got != c.want {
+			t.Errorf("SatMul(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+func FuzzSatMul(f *testing.F) {
+	for _, c := range [][2]int64{
+		{0, 0}, {1, Infinity}, {Infinity, 1}, {Infinity - 1, 2}, {Infinity / 3, 3},
+		{math.MaxInt64, 1}, {-1, 5}, {5, -1}, {-3, -3}, {math.MinInt64, 2},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b int64) {
+		got, want := SatMul(a, b), refSatMul(a, b)
+		if got != want {
+			t.Fatalf("SatMul(%d, %d) = %d, reference %d", a, b, got, want)
+		}
+		if a >= 0 && b >= 0 && (got < 0 || got > Infinity) {
+			t.Fatalf("SatMul(%d, %d) = %d escapes [0, Infinity]", a, b, got)
+		}
+	})
 }
 
 func TestSatOpsNeverExceedInfinity(t *testing.T) {

@@ -543,19 +543,39 @@ func (r *jobRegistry) runJob(j *sweepJob) {
 			}
 		}
 	}
-	if finished {
-		j.cp.State = sweepDone
-	}
 	j.mu.Unlock()
 	if finished {
+		finished = r.finish(j)
+	}
+	if finished {
 		r.completed.Add(1)
-		r.checkpoint(j)
 		r.log().LogAttrs(context.Background(), slog.LevelInfo, "sweep done",
 			slog.String("sweep_id", j.cp.ID), slog.Duration("elapsed", time.Since(start)))
 	} else {
 		r.log().LogAttrs(context.Background(), slog.LevelInfo, "sweep interrupted",
 			slog.String("sweep_id", j.cp.ID), slog.Duration("elapsed", time.Since(start)))
 	}
+}
+
+// finish moves a fully computed job to "done": the terminal checkpoint is
+// written first and only then is the state published in memory, so a
+// client that reads "done" finds "done" on disk too. Like every forced
+// checkpoint it writes even under an open breaker; if the write fails the
+// job is still done in memory, which is then the only record. Reports
+// false when the job was canceled meanwhile.
+func (r *jobRegistry) finish(j *sweepJob) bool {
+	if r.st != nil {
+		j.ckmu.Lock()
+		defer j.ckmu.Unlock()
+		r.checkpointLocked(j, sweepDone)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.cp.State != sweepRunning {
+		return false
+	}
+	j.cp.State = sweepDone
+	return true
 }
 
 // checkpoint persists the job's current state (no-op without a store).
@@ -573,7 +593,7 @@ func (r *jobRegistry) checkpoint(j *sweepJob) {
 	// later also commits later, so the on-disk file never goes backwards.
 	j.ckmu.Lock()
 	defer j.ckmu.Unlock()
-	r.checkpointLocked(j)
+	r.checkpointLocked(j, "")
 }
 
 // checkpointThrottled is checkpoint rate-limited to one write per
@@ -597,18 +617,23 @@ func (r *jobRegistry) checkpointThrottled(j *sweepJob) {
 	if !r.srv.engine.br.Allow() {
 		return
 	}
-	r.checkpointLocked(j)
+	r.checkpointLocked(j, "")
 }
 
-// checkpointLocked does the marshal+write; callers hold j.ckmu.
-func (r *jobRegistry) checkpointLocked(j *sweepJob) {
+// checkpointLocked does the marshal+write; callers hold j.ckmu. A
+// non-empty state is written in place of the in-memory one.
+func (r *jobRegistry) checkpointLocked(j *sweepJob, state string) {
 	j.mu.Lock()
 	if j.cp.State == sweepCanceled {
 		// delete() removed the file under ckmu; never resurrect it.
 		j.mu.Unlock()
 		return
 	}
-	data, err := json.Marshal(&j.cp)
+	cp := j.cp
+	if state != "" {
+		cp.State = state
+	}
+	data, err := json.Marshal(&cp)
 	id := j.cp.ID
 	j.mu.Unlock()
 	if err == nil {

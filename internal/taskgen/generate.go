@@ -324,18 +324,30 @@ func assembleTask(r *rand.Rand, id rt.TaskID, period, deadline, wcet rt.Time,
 }
 
 // pickWithRoom picks a uniformly random vertex whose cap can absorb one more
-// critical section of length cs.
+// critical section of length cs. It counts the candidates, draws the k-th
+// with one r.Intn call and walks to it, so it allocates nothing and
+// consumes the random stream exactly as drawing from a candidate slice
+// would.
 func pickWithRoom(r *rand.Rand, caps, csNeed []rt.Time, cs rt.Time) (int, bool) {
-	var candidates []int
+	n := 0
 	for x := range caps {
 		if csNeed[x]+cs <= caps[x] {
-			candidates = append(candidates, x)
+			n++
 		}
 	}
-	if len(candidates) == 0 {
+	if n == 0 {
 		return 0, false
 	}
-	return candidates[r.Intn(len(candidates))], true
+	k := r.Intn(n)
+	for x := range caps {
+		if csNeed[x]+cs <= caps[x] {
+			if k == 0 {
+				return x, true
+			}
+			k--
+		}
+	}
+	panic("taskgen: pickWithRoom candidate count changed mid-walk")
 }
 
 // waterfill distributes budget across vertices with random proportions,

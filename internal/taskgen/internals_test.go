@@ -1,6 +1,9 @@
 package taskgen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -61,6 +64,91 @@ func TestPickWithRoom(t *testing.T) {
 	}
 	if _, ok := pickWithRoom(r, caps, csNeed, 30); ok {
 		t.Error("pickWithRoom found room for an oversized CS")
+	}
+}
+
+// slicePickWithRoom is the candidate-slice picker pickWithRoom replaced,
+// kept as the reference its random-stream consumption must match.
+func slicePickWithRoom(r *rand.Rand, caps, csNeed []rt.Time, cs rt.Time) (int, bool) {
+	var candidates []int
+	for x := range caps {
+		if csNeed[x]+cs <= caps[x] {
+			candidates = append(candidates, x)
+		}
+	}
+	if len(candidates) == 0 {
+		return 0, false
+	}
+	return candidates[r.Intn(len(candidates))], true
+}
+
+// TestPickWithRoomMatchesSlicePicker drives both pickers from identically
+// seeded sources over random cap profiles: every pick, and the source
+// state after it, must agree.
+func TestPickWithRoomMatchesSlicePicker(t *testing.T) {
+	gen := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + gen.Intn(40)
+		caps := make([]rt.Time, n)
+		csNeed := make([]rt.Time, n)
+		for x := range caps {
+			caps[x] = rt.Time(gen.Intn(1000))
+			csNeed[x] = rt.Time(gen.Intn(1000))
+		}
+		cs := rt.Time(gen.Intn(300))
+		seed := gen.Int63()
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		gx, gok := pickWithRoom(got, caps, csNeed, cs)
+		wx, wok := slicePickWithRoom(want, caps, csNeed, cs)
+		if gx != wx || gok != wok {
+			t.Fatalf("trial %d: pick (%d, %v), reference (%d, %v)", trial, gx, gok, wx, wok)
+		}
+		if a, b := got.Int63(), want.Int63(); a != b {
+			t.Fatalf("trial %d: random streams diverged after the pick", trial)
+		}
+	}
+}
+
+// generatorStreamDigest is the SHA-256, over the four Fig. 2 scenarios and
+// seeds 0..199, of every generated taskset's canonical hash (or error
+// text), recorded with the candidate-slice picker. Any change to what the
+// generator draws, in which order, or what it builds changes the digest.
+const generatorStreamDigest = "68052e6cc90d1827fe37bc5b78c0c0bbcc63c79bd1c3a34a021229d7665a66e0"
+
+func TestGeneratorStreamPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates 800 tasksets")
+	}
+	h := sha256.New()
+	for _, sub := range []string{"2a", "2b", "2c", "2d"} {
+		scen, err := Fig2Scenario(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGenerator(scen)
+		points := UtilizationPoints(scen.M)
+		for seed := 0; seed < 200; seed++ {
+			r := rand.New(rand.NewSource(int64(seed)))
+			ts, err := g.Taskset(r, points[seed%len(points)])
+			if err != nil {
+				fmt.Fprintf(h, "%s/%d: %v\n", sub, seed, err)
+				continue
+			}
+			th := ts.Hash()
+			h.Write(th[:])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != generatorStreamDigest {
+		t.Errorf("generator stream digest = %s, want %s", got, generatorStreamDigest)
+	}
+}
+
+func TestPickWithRoomAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	caps := []rt.Time{10, 30, 20, 40, 25}
+	csNeed := []rt.Time{8, 0, 5, 10, 25}
+	if n := testing.AllocsPerRun(100, func() { pickWithRoom(r, caps, csNeed, 3) }); n != 0 {
+		t.Fatalf("pickWithRoom: %v allocs/run, want 0", n)
 	}
 }
 
