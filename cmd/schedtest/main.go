@@ -73,7 +73,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	ms, err := parseMethods(*methods)
+	var methodNames []string
+	if *methods != "" {
+		methodNames = strings.Split(*methods, ",")
+	}
+	ms, err := analysis.ParseMethods(methodNames)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -122,28 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-}
-
-func parseMethods(s string) ([]analysis.Method, error) {
-	if s == "" {
-		return analysis.Methods(), nil
-	}
-	var out []analysis.Method
-	for _, part := range strings.Split(s, ",") {
-		m := analysis.Method(strings.TrimSpace(part))
-		found := false
-		for _, known := range analysis.Methods() {
-			if m == known {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown method %q; known: %v", m, analysis.Methods())
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 // runAudit fuzzes adversarial tasksets and cross-checks every analysis

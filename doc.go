@@ -57,7 +57,8 @@
 // partitioning loop's rounds and the Lemma 2 W fixed points across views
 // (keyed by processor and recurrence base), and the experiment harness
 // drains entire scenario grids through one shared work-conserving pool
-// (experiments.RunGrid) with scheduling-independent deterministic seeding.
+// (experiments.Sweep, behind RunGrid) with scheduling-independent
+// deterministic seeding.
 //
 // # The differential audit
 //
@@ -152,8 +153,9 @@
 // connection per curve. POST /v1/sweeps accepts any subset of the Fig. 2
 // subplots and the 216-scenario grid and returns a job ID immediately; a
 // FIFO runner drains each job's (scenario, point, sample) fan-out through
-// experiments.ScenarioSweep on the shared pool, bounded by the same
-// worker slots interactive requests use. GET /v1/sweeps/{id} reports
+// experiments.Sweep — the executor behind RunGrid and /v1/grid too — on
+// the shared pool, bounded by the same worker slots interactive requests
+// use. GET /v1/sweeps/{id} reports
 // per-scenario progress in completed points; /results serves the curves.
 //
 // Durability is layered under both the cache and the jobs
@@ -172,7 +174,7 @@
 // through reusable scratch memory with three rules:
 //
 //   - A Scratch (NewScratch, threaded via TestWith) serves one goroutine
-//     at a time. The experiments pool and the server keep one per worker;
+//     at a time. RunGrid and the server keep one per worker;
 //     ad-hoc callers may share one across sequential analyses of any
 //     number of tasksets.
 //   - Results returned by Test/TestWith are always scratch-independent:

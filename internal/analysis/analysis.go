@@ -11,6 +11,8 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"dpcpp/internal/model"
 	"dpcpp/internal/partition"
@@ -36,6 +38,24 @@ const (
 
 // Methods lists every implemented method in the paper's comparison order.
 func Methods() []Method { return []Method{DPCPpEP, DPCPpEN, SPIN, LPP, FEDFP} }
+
+// ParseMethods validates and resolves a list of method names, trimming
+// surrounding whitespace; an empty list means all five. It is the one
+// place method names from flags, requests and checkpoints are checked.
+func ParseMethods(names []string) ([]Method, error) {
+	if len(names) == 0 {
+		return Methods(), nil
+	}
+	out := make([]Method, 0, len(names))
+	for _, name := range names {
+		m := Method(strings.TrimSpace(name))
+		if !slices.Contains(Methods(), m) {
+			return nil, fmt.Errorf("unknown method %q (known: %v)", name, Methods())
+		}
+		out = append(out, m)
+	}
+	return out, nil
+}
 
 // Options tunes an analysis run.
 type Options struct {

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"dpcpp/internal/model"
@@ -315,6 +317,23 @@ func TestMethodsList(t *testing.T) {
 	}
 	if ms[0] != DPCPpEP || ms[4] != FEDFP {
 		t.Errorf("unexpected order: %v", ms)
+	}
+}
+
+// TestParseMethods: an empty list is all five, names are trimmed and kept
+// in request order, and an unknown name fails with the known list.
+func TestParseMethods(t *testing.T) {
+	ms, err := ParseMethods(nil)
+	if err != nil || !slices.Equal(ms, Methods()) {
+		t.Fatalf("ParseMethods(nil) = %v, %v; want all methods", ms, err)
+	}
+	ms, err = ParseMethods([]string{" LPP ", "DPCP-p-EN"})
+	if err != nil || !slices.Equal(ms, []Method{LPP, DPCPpEN}) {
+		t.Fatalf("ParseMethods = %v, %v", ms, err)
+	}
+	_, err = ParseMethods([]string{"DPCP-p-EN", "DPCP-q"})
+	if err == nil || !strings.Contains(err.Error(), `unknown method "DPCP-q" (known: `) {
+		t.Fatalf("unknown method error = %v", err)
 	}
 }
 

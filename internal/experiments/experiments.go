@@ -9,9 +9,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sync/atomic"
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/model"
@@ -63,9 +65,9 @@ func (c *Curve) TotalAccepted(m analysis.Method) int {
 
 // SampleSeed derives the deterministic RNG seed of one sample: a pure
 // function of (base seed, scenario name, utilization point, sample index).
-// Every consumer of the grid — runPool here, and the analysis server's
-// streaming /v1/grid endpoint — must derive seeds through it, so the same
-// sweep yields bit-identical tasksets regardless of which frontend ran it.
+// The sweep executor (Sweep) derives every seed through it, so the same
+// sweep yields bit-identical tasksets whichever frontend ran it: RunGrid,
+// the analysis server's /v1/grid stream or one of its sweep jobs.
 func SampleSeed(base int64, scenario string, point, sample int) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%d|%d", base, scenario, point, sample)
@@ -91,7 +93,7 @@ func retrySeed(seed int64, attempt int) int64 {
 // GenerateSample draws the taskset of one sample, retrying with derived
 // seeds when the structural constraints cannot be met for the drawn
 // parameters. The retry discipline is part of the determinism contract:
-// callers that reimplement it would diverge from runPool on hard draws.
+// callers that reimplement it would diverge from Sweep on hard draws.
 func GenerateSample(g *taskgen.Generator, seed int64, util float64) (*model.Taskset, error) {
 	var lastErr error
 	for attempt := 0; attempt < 16; attempt++ {
@@ -105,44 +107,11 @@ func GenerateSample(g *taskgen.Generator, seed int64, util float64) (*model.Task
 	return nil, lastErr
 }
 
-// normalized returns the campaign with defaults applied and the scenario
-// structure resolved.
-func (c Campaign) normalized() Campaign {
-	if len(c.Methods) == 0 {
-		c.Methods = analysis.Methods()
-	}
-	if c.TasksetsPerPoint <= 0 {
-		c.TasksetsPerPoint = 25
-	}
-	c.Scenario = c.Scenario.DefaultStructure()
-	return c
-}
-
-// workers passes the Parallelism knob through: the pool itself normalizes
-// <= 0 to GOMAXPROCS (see Workers).
-func (c Campaign) workers() int { return c.Parallelism }
-
-// newCurve allocates the empty acceptance-ratio curve of one campaign.
-func newCurve(c Campaign) *Curve {
-	curve := &Curve{Scenario: c.Scenario, Methods: c.Methods}
-	for _, u := range taskgen.UtilizationPoints(c.Scenario.M) {
-		curve.Points = append(curve.Points, Point{
-			Utilization: u,
-			Normalized:  u / float64(c.Scenario.M),
-			Accepted:    make(map[analysis.Method]int),
-		})
-	}
-	return curve
-}
-
-// Run sweeps the scenario's utilization points and returns the curve.
+// Run sweeps the scenario's utilization points and returns the curve; it
+// is RunGrid over the one scenario.
 func (c Campaign) Run() (*Curve, error) {
-	c = c.normalized()
-	curves, je := runPool([]Campaign{c}, c.workers(), nil)
-	if je != nil {
-		return curves[0], fmt.Errorf("point %d sample %d: %w", je.point, je.sample, je.err)
-	}
-	return curves[0], nil
+	curves, err := RunGrid(c, []taskgen.Scenario{c.Scenario})
+	return curves[0], err
 }
 
 // Dominates implements the paper's footnote: A dominates B when A's
@@ -208,14 +177,14 @@ func Aggregate(curves []*Curve, methods []analysis.Method) *GridResult {
 
 // RunGrid executes campaigns for every scenario in the grid, reusing the
 // campaign template's methods, sample count and options. All scenarios
-// share one grid-level worker pool (see RunGridProgress), so a 216-scenario
-// sweep saturates every core instead of draining scenarios one at a time.
+// drain through one Sweep (see RunGridProgress), so a 216-scenario sweep
+// saturates every core instead of draining scenarios one at a time.
 func RunGrid(template Campaign, scenarios []taskgen.Scenario) ([]*Curve, error) {
 	return RunGridProgress(template, scenarios, nil)
 }
 
 // RunGridProgress is RunGrid with a completion callback: onCurve(i, c) fires
-// exactly once per scenario, as soon as every job of scenarios[i] has
+// exactly once per scenario, as soon as every sample of scenarios[i] has
 // drained, with c == the returned curves[i]. Because scenarios complete in
 // work-pool order, callbacks may arrive out of scenario order and are
 // invoked from worker goroutines; callbacks must synchronize any shared
@@ -223,23 +192,53 @@ func RunGrid(template Campaign, scenarios []taskgen.Scenario) ([]*Curve, error) 
 //
 // Results are bit-identical to running each scenario's Campaign alone:
 // every sample's RNG seed derives from (seed, scenario, point, sample),
-// never from worker scheduling. Unlike the former serial implementation,
-// all scenarios run to completion even when one fails; the returned error
-// is the failure of the lexicographically smallest (scenario, point,
-// sample) job, deterministically.
+// never from worker scheduling. All scenarios run to completion even when
+// one fails; the returned error is the generation failure of the
+// lexicographically smallest (scenario, point, sample), deterministically.
 func RunGridProgress(template Campaign, scenarios []taskgen.Scenario,
 	onCurve func(i int, c *Curve)) ([]*Curve, error) {
 
-	camps := make([]Campaign, len(scenarios))
+	sw := Sweep{
+		Scenarios: make([]taskgen.Scenario, len(scenarios)),
+		Methods:   template.Methods,
+		Samples:   template.TasksetsPerPoint,
+		Seed:      template.Seed,
+		Workers:   template.Parallelism,
+	}
+	if len(sw.Methods) == 0 {
+		sw.Methods = analysis.Methods()
+	}
+	if sw.Samples <= 0 {
+		sw.Samples = 25
+	}
+	curves := make([]*Curve, len(scenarios))
+	left := make([]atomic.Int64, len(scenarios)) // points not yet rendered
 	for i, s := range scenarios {
-		c := template
-		c.Scenario = s
-		camps[i] = c.normalized()
+		s = s.DefaultStructure()
+		sw.Scenarios[i] = s
+		npoints := len(taskgen.UtilizationPoints(s.M))
+		curves[i] = &Curve{Scenario: s, Methods: sw.Methods, Points: make([]Point, npoints)}
+		left[i].Store(int64(npoints))
 	}
-	curves, je := runPool(camps, template.workers(), onCurve)
-	if je != nil {
-		return curves, fmt.Errorf("scenario %s: point %d sample %d: %w",
-			camps[je.scen].Scenario.Name(), je.point, je.sample, je.err)
-	}
-	return curves, nil
+	// One analysis scratch per worker, recycled sample after sample, so a
+	// worker's steady-state sample costs (almost) no allocations.
+	scratch := make([]*analysis.Scratch, Workers(sw.Workers))
+	err := sw.Run(context.Background(),
+		func(w int, ts *model.Taskset, ok []bool) error {
+			if scratch[w] == nil {
+				scratch[w] = analysis.NewScratch()
+			}
+			for i, m := range sw.Methods {
+				ok[i] = analysis.TestWith(scratch[w], m, ts, template.Options).Schedulable
+			}
+			return nil
+		},
+		func(c int, t *Tally) {
+			curve := curves[c]
+			curve.Points[t.Point] = t.point(curve.Methods, curve.Scenario.M)
+			if left[c].Add(-1) == 0 && onCurve != nil {
+				onCurve(c, curve)
+			}
+		})
+	return curves, err
 }

@@ -2,12 +2,8 @@ package experiments
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"dpcpp/internal/analysis"
-	"dpcpp/internal/taskgen"
 )
 
 // Workers normalizes a requested worker count: any value <= 0 means "one
@@ -29,10 +25,9 @@ func Workers(requested int) int {
 // locking. ParallelFor returns when every index has been processed; fn
 // must do its own synchronization on shared state.
 //
-// This is the one scheduling primitive behind the experiment grids
-// (runPool), the differential audit (internal/audit) and the analysis
-// server (internal/server): every heavy sweep in the repository drains
-// through it.
+// This is the one scheduling primitive behind the sweep executor (Sweep),
+// the differential audit (internal/audit) and the analysis server
+// (internal/server): every heavy sweep in the repository drains through it.
 func ParallelFor(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -57,137 +52,4 @@ func ParallelFor(workers, n int, fn func(worker, i int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// gridJob identifies one (scenario, point, sample) work unit of a sweep.
-type gridJob struct {
-	scen, point, sample int
-}
-
-// less orders jobs lexicographically; used to report errors
-// deterministically regardless of worker scheduling.
-func (j gridJob) less(o gridJob) bool {
-	if j.scen != o.scen {
-		return j.scen < o.scen
-	}
-	if j.point != o.point {
-		return j.point < o.point
-	}
-	return j.sample < o.sample
-}
-
-// jobError is the failure of one job, tagged with its coordinates.
-type jobError struct {
-	scen, point, sample int
-	err                 error
-}
-
-// runPool is the grid-level scheduler behind Campaign.Run and RunGrid: one
-// shared, work-conserving pool of workers (ParallelFor) drains every
-// (scenario, point, sample) job of every campaign, so multi-scenario sweeps
-// keep all cores busy instead of a per-scenario pool idling through each
-// scenario's tail. Campaigns must already be normalized. onCurve, when
-// non-nil, fires once per campaign the moment its last job completes (from
-// a worker goroutine).
-//
-// Determinism: each sample's generator seed is a pure function of
-// (campaign seed, scenario name, point, sample), and accepted counts are
-// commutative sums, so results never depend on worker interleaving. The
-// returned error, if any, is the one of the smallest failing job.
-func runPool(camps []Campaign, workers int, onCurve func(int, *Curve)) ([]*Curve, *jobError) {
-	curves := make([]*Curve, len(camps))
-	remaining := make([]atomic.Int64, len(camps))
-	// offsets[i] is the flat index of campaign i's first job; the flat
-	// index space [0, offsets[len]) is what ParallelFor iterates.
-	offsets := make([]int, len(camps)+1)
-	for i, c := range camps {
-		curves[i] = newCurve(c)
-		n := len(curves[i].Points) * c.TasksetsPerPoint
-		remaining[i].Store(int64(n))
-		offsets[i+1] = offsets[i] + n
-		if n == 0 && onCurve != nil {
-			onCurve(i, curves[i])
-		}
-	}
-	totalJobs := offsets[len(camps)]
-	if totalJobs == 0 {
-		return curves, nil
-	}
-	workers = Workers(workers)
-	if workers > totalJobs {
-		workers = totalJobs
-	}
-
-	var mu sync.Mutex // guards curve points and firstErr
-	var firstErr *jobError
-	// Worker-local state needs no locking: generators are per-scenario and
-	// stateless across samples, and the analysis scratch plus verdict map
-	// are recycled job after job, so a worker's steady-state sample costs
-	// (almost) no allocations regardless of sweep size.
-	locals := make([]workerLocal, workers)
-	for w := range locals {
-		locals[w] = workerLocal{
-			gens:     make(map[int]*taskgen.Generator, len(camps)),
-			sc:       analysis.NewScratch(),
-			verdicts: make(map[analysis.Method]bool, 8),
-		}
-	}
-	ParallelFor(workers, totalJobs, func(worker, idx int) {
-		ci := sort.SearchInts(offsets[1:], idx+1)
-		rem := idx - offsets[ci]
-		samples := camps[ci].TasksetsPerPoint
-		jb := gridJob{scen: ci, point: rem / samples, sample: rem % samples}
-
-		c := &camps[ci]
-		wl := &locals[worker]
-		g := wl.gens[ci]
-		if g == nil {
-			g = taskgen.NewGenerator(c.Scenario)
-			wl.gens[ci] = g
-		}
-		runJob(c, g, wl, curves[ci], jb, &mu, &firstErr)
-		if remaining[ci].Add(-1) == 0 && onCurve != nil {
-			onCurve(ci, curves[ci])
-		}
-	})
-	return curves, firstErr
-}
-
-// workerLocal is one pool worker's recycled state; owned by exactly one
-// worker goroutine for the lifetime of the sweep.
-type workerLocal struct {
-	gens     map[int]*taskgen.Generator
-	sc       *analysis.Scratch
-	verdicts map[analysis.Method]bool
-}
-
-// runJob draws and analyzes one sample and folds the verdicts into the
-// curve.
-func runJob(c *Campaign, g *taskgen.Generator, wl *workerLocal, curve *Curve,
-	jb gridJob, mu *sync.Mutex, firstErr **jobError) {
-
-	seed := SampleSeed(c.Seed, c.Scenario.Name(), jb.point, jb.sample)
-	ts, err := GenerateSample(g, seed, curve.Points[jb.point].Utilization)
-	if err != nil {
-		mu.Lock()
-		if *firstErr == nil || jb.less(gridJob{(*firstErr).scen, (*firstErr).point, (*firstErr).sample}) {
-			*firstErr = &jobError{jb.scen, jb.point, jb.sample, err}
-		}
-		mu.Unlock()
-		return
-	}
-	verdicts := wl.verdicts
-	clear(verdicts)
-	for _, m := range c.Methods {
-		verdicts[m] = analysis.TestWith(wl.sc, m, ts, c.Options).Schedulable
-	}
-	mu.Lock()
-	pt := &curve.Points[jb.point]
-	pt.Total++
-	for m, ok := range verdicts {
-		if ok {
-			pt.Accepted[m]++
-		}
-	}
-	mu.Unlock()
 }

@@ -169,7 +169,7 @@ func parseDeltaMethods(names []string) ([]analysis.Method, error) {
 	if len(names) == 0 {
 		return []analysis.Method{analysis.DPCPpEP, analysis.DPCPpEN}, nil
 	}
-	ms, err := parseMethods(names)
+	ms, err := analysis.ParseMethods(names)
 	if err != nil {
 		return nil, err
 	}

@@ -103,6 +103,25 @@ func (g *flightGroup[V]) do(ctx context.Context, key string,
 	}
 }
 
+// wait blocks until no computation is in flight. A computation outlives
+// the callers that abandoned it, so this is how an owner makes sure
+// nothing started through the group still writes to the cache or the
+// store.
+func (g *flightGroup[V]) wait() {
+	for {
+		var c *flightCall[V]
+		g.mu.Lock()
+		for _, c = range g.m {
+			break
+		}
+		g.mu.Unlock()
+		if c == nil {
+			return
+		}
+		<-c.done
+	}
+}
+
 // waiting reports how many callers are coalesced onto the key's in-flight
 // execution (0 when none is in flight).
 func (g *flightGroup[V]) waiting(key string) int {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/experiments"
@@ -84,28 +83,27 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.engine.release(jobs)
 
-	// Per-point completion tracking: workers fold verdicts into atomic
-	// counters (sweepPointState) and the sweep hands the point index to
-	// the streaming loop when its last sample lands. A canceled stream
-	// stops paying for analyses (ScenarioSweep skips the work) but still
-	// drains every index so admission accounting stays exact.
-	states := newSweepPointStates(len(points), len(ms))
-	done := make(chan int, len(points))
+	// The sweep hands each point's tally to the streaming loop when its
+	// last sample lands. A canceled stream stops paying for analyses (the
+	// sweep skips the work) but still drains every index, so admission
+	// accounting stays exact.
+	done := make(chan *experiments.Tally, len(points))
 	ctx, cancel := s.requestCtx(r, timeoutMS)
 	defer cancel()
 
 	go func() {
 		defer close(done)
-		experiments.ScenarioSweep{
-			Scenario: scen,
-			Seed:     seed,
-			Samples:  n,
-			Workers:  s.cfg.Workers,
-		}.Run(ctx,
-			func(pi, si int, ts *model.Taskset, genErr error) {
-				states[pi].analyze(ctx, s.engine, ts, genErr, ms, opts)
-			},
-			func(pi int, complete bool) { done <- pi })
+		sw := experiments.Sweep{
+			Scenarios: []taskgen.Scenario{scen},
+			Methods:   ms,
+			Samples:   n,
+			Seed:      seed,
+			Workers:   s.cfg.Workers,
+		}
+		// Generation failures reach the client per point (GenFailures),
+		// so the sweep's summary error has nothing to add.
+		_ = sw.Run(ctx, s.engine.sweepVerdicts(ctx, ms, opts),
+			func(_ int, t *experiments.Tally) { done <- t })
 	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -114,23 +112,22 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	streamed := 0
 	var writeErr error
-	for pi := range done {
+	for t := range done {
 		// After the first failed write the client is gone: keep draining
 		// completions (the sweep still owes the admission release its
 		// drain), but stop encoding and flushing to a dead connection.
 		if writeErr != nil {
 			continue
 		}
-		// A point whose in-flight analyses were abandoned (cancel/timeout
-		// mid-sample) holds an undercounted curve; never stream it.
-		if states[pi].aborted.Load() > 0 {
+		// A point cut short (cancel/timeout before or during its samples)
+		// holds an undercounted curve; never stream it.
+		if !t.Complete() {
 			continue
 		}
 		// Each NDJSON line re-arms the write deadline: the stream may run
 		// for minutes, but any single stalled write still times out.
 		s.bumpWriteDeadline(w)
-		gp := states[pi].gridPoint(pi, points[pi], scen.M, ms)
-		if writeErr = enc.Encode(gp); writeErr != nil {
+		if writeErr = enc.Encode(gridPoint(t, scen.M, ms)); writeErr != nil {
 			continue
 		}
 		if flusher != nil {
@@ -145,67 +142,40 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sweepPointState accumulates one utilization point's verdicts across its
-// samples; shared by the streaming grid endpoint and the sweep-job runner.
-type sweepPointState struct {
-	accepted []atomic.Int64 // indexed like the method slice
-	genFail  atomic.Int64
-	total    atomic.Int64
-	// aborted counts samples whose analysis was abandoned (context
-	// canceled or deadline exceeded mid-flight). Any aborted sample makes
-	// the point's counts undercounted, so consumers must treat the point
-	// as incomplete: the grid stream skips it and the sweep-job runner
-	// refuses to checkpoint it — otherwise a canceled last sample could
-	// freeze a wrong curve into a checkpoint and break byte-identical
-	// resume.
-	aborted atomic.Int64
-}
+// sweepVerdicts is the per-sample callback of every server-side sweep
+// (the grid stream and sweep jobs): each method's verdict through the
+// engine, so sweeps share the result cache, the store and the worker
+// slots with interactive requests. An engine error (ctx ended while the
+// analysis was queued) abandons the sample.
+func (e *engine) sweepVerdicts(ctx context.Context, ms []analysis.Method,
+	opts analysis.Options) func(int, *model.Taskset, []bool) error {
 
-func newSweepPointStates(points, methods int) []sweepPointState {
-	states := make([]sweepPointState, points)
-	for pi := range states {
-		states[pi].accepted = make([]atomic.Int64, methods)
-	}
-	return states
-}
-
-// analyze folds one sample into the point: every requested method's verdict
-// for the generated taskset, or a generation failure. An engine error (the
-// context ended while this sample's analysis was queued) marks the point
-// aborted instead of silently dropping a verdict.
-func (st *sweepPointState) analyze(ctx context.Context, e *engine, ts *model.Taskset,
-	genErr error, ms []analysis.Method, opts analysis.Options) {
-
-	if genErr != nil {
-		st.genFail.Add(1)
-		return
-	}
-	h := ts.Hash()
-	for mi, m := range ms {
-		mr, err := e.analyze(ctx, h, ts, m, opts, false)
-		if err != nil {
-			st.aborted.Add(1)
-			return
+	return func(_ int, ts *model.Taskset, ok []bool) error {
+		h := ts.Hash()
+		for i, m := range ms {
+			mr, err := e.analyze(ctx, h, ts, m, opts, false)
+			if err != nil {
+				return err
+			}
+			ok[i] = mr.Schedulable
 		}
-		if mr.Schedulable {
-			st.accepted[mi].Add(1)
-		}
+		return nil
 	}
-	st.total.Add(1)
 }
 
-// gridPoint renders the accumulated counts as the wire form.
-func (st *sweepPointState) gridPoint(pi int, util float64, m int, ms []analysis.Method) *GridPoint {
+// gridPoint renders a point's tally, swept with methods ms on m cores, as
+// the wire form.
+func gridPoint(t *experiments.Tally, m int, ms []analysis.Method) *GridPoint {
 	gp := &GridPoint{
-		Point:       pi,
-		Utilization: util,
-		Normalized:  util / float64(m),
-		Total:       int(st.total.Load()),
-		GenFailures: int(st.genFail.Load()),
+		Point:       t.Point,
+		Utilization: t.Utilization,
+		Normalized:  t.Utilization / float64(m),
+		Total:       t.Total(),
+		GenFailures: t.GenFailures(),
 		Accepted:    make(map[string]int, len(ms)),
 	}
-	for mi, meth := range ms {
-		gp.Accepted[string(meth)] = int(st.accepted[mi].Load())
+	for i, meth := range ms {
+		gp.Accepted[string(meth)] = t.Accepted(i)
 	}
 	return gp
 }

@@ -18,7 +18,6 @@ import (
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/experiments"
-	"dpcpp/internal/model"
 	"dpcpp/internal/store"
 	"dpcpp/internal/taskgen"
 )
@@ -27,11 +26,12 @@ import (
 // durable workload: POST /v1/sweeps accepts a whole campaign — any subset
 // of the Fig. 2 subplots and the g0..g215 grid, n samples per point, a
 // method subset — and returns immediately with a job ID. A single runner
-// goroutine drains submitted jobs FIFO; within a job, scenarios run in
-// order and each scenario's (point, sample) fan-out goes through
-// experiments.ScenarioSweep on the shared pool, bounded by the same engine
-// worker slots interactive requests use (so a sweep saturates idle cores
-// but cannot run more analyses concurrently than -workers allows).
+// goroutine drains submitted jobs FIFO; within a job, every (scenario,
+// point, sample) goes through one experiments.Sweep, in scenario order on
+// the shared pool, bounded by the same engine worker slots interactive
+// requests use (so a sweep saturates idle cores but cannot run more
+// analyses concurrently than -workers allows). The grid stream runs the
+// same executor and renders points through the same gridPoint.
 //
 // Sweeps deliberately bypass the admission queue: admission protects
 // interactive latency traffic from unbounded queueing, while a sweep is an
@@ -147,7 +147,7 @@ func (j *sweepJob) resolve() error {
 	if spec.PathCap < 0 {
 		return fmt.Errorf("negative path_cap %d", spec.PathCap)
 	}
-	ms, err := parseMethods(spec.Methods)
+	ms, err := analysis.ParseMethods(spec.Methods)
 	if err != nil {
 		return err
 	}
@@ -447,19 +447,19 @@ func (r *jobRegistry) run() {
 			return
 		case j := <-r.queue:
 			r.active.Add(1)
-			r.runJob(j)
+			r.runSweep(j)
 			r.active.Add(-1)
 		}
 	}
 }
 
-// runJob drains one job: every incomplete point of every scenario, in
-// order, checkpointing after each completed point. On daemon shutdown
+// runSweep drains one job: every incomplete point of every scenario, in
+// one sweep, checkpointing after each completed point. On daemon shutdown
 // (Server.Close) the job keeps state "running" in its checkpoint and is
 // re-queued by the next resume-enabled daemon; on client cancellation
 // (DELETE) it stops at the next sample boundary and is never checkpointed
 // again.
-func (r *jobRegistry) runJob(j *sweepJob) {
+func (r *jobRegistry) runSweep(j *sweepJob) {
 	ctx, cancel := context.WithCancel(r.ctx)
 	defer cancel()
 	j.mu.Lock()
@@ -480,58 +480,52 @@ func (r *jobRegistry) runJob(j *sweepJob) {
 	r.log().LogAttrs(ctx, slog.LevelInfo, "sweep running",
 		slog.String("sweep_id", j.cp.ID), slog.Int("scenarios", len(j.scens)))
 
-	for si := range j.scens {
-		j.mu.Lock()
-		var todo []int
-		for pi, gp := range j.cp.Points[si] {
+	// Resume: run only the points the checkpoint does not hold yet.
+	todo := make([][]int, len(j.scens))
+	left := make([]atomic.Int64, len(j.scens)) // points of each scenario still to drain
+	j.mu.Lock()
+	for si, pts := range j.cp.Points {
+		for pi, gp := range pts {
 			if gp == nil {
-				todo = append(todo, pi)
+				todo[si] = append(todo[si], pi)
 			}
 		}
-		npoints := len(j.cp.Points[si])
-		j.mu.Unlock()
-		if len(todo) == 0 {
-			continue
-		}
-		if ctx.Err() != nil {
-			return
-		}
-
-		states := newSweepPointStates(npoints, len(j.ms))
-		utils := taskgen.UtilizationPoints(j.scens[si].M)
-		experiments.ScenarioSweep{
-			Scenario: j.scens[si],
-			Seed:     j.cp.Spec.Seed,
-			Samples:  j.cp.Spec.N,
-			Points:   todo,
-			Workers:  r.srv.cfg.Workers,
-		}.Run(ctx,
-			func(pi, _ int, ts *model.Taskset, genErr error) {
-				states[pi].analyze(ctx, r.srv.engine, ts, genErr, j.ms, j.opts)
-			},
-			func(pi int, complete bool) {
-				// An incomplete point (cancellation mid-point) is never
-				// checkpointed: the next run re-draws all of its samples,
-				// which SampleSeed makes bit-identical. A point whose last
-				// sample "ran" but whose analysis was abandoned mid-flight
-				// is just as incomplete — freezing its undercounted curve
-				// into the checkpoint would break that guarantee.
-				if !complete || states[pi].aborted.Load() > 0 {
-					return
-				}
-				gp := states[pi].gridPoint(pi, utils[pi], j.scens[si].M, j.ms)
+		left[si].Store(int64(len(todo[si])))
+	}
+	j.mu.Unlock()
+	sw := experiments.Sweep{
+		Scenarios: j.scens,
+		Points:    todo,
+		Methods:   j.ms,
+		Samples:   j.cp.Spec.N,
+		Seed:      j.cp.Spec.Seed,
+		Workers:   r.srv.cfg.Workers,
+	}
+	// Generation failures are checkpointed per point (GenFailures), so
+	// the sweep's summary error has nothing to add.
+	_ = sw.Run(ctx, r.srv.engine.sweepVerdicts(ctx, j.ms, j.opts),
+		func(si int, t *experiments.Tally) {
+			// A point cut short (cancellation before or during its
+			// samples) is never checkpointed: the next run re-draws all of
+			// its samples, which SampleSeed makes bit-identical.
+			if t.Complete() {
+				gp := gridPoint(t, j.scens[si].M, j.ms)
 				j.mu.Lock()
-				j.cp.Points[si][pi] = gp
+				j.cp.Points[si][t.Point] = gp
 				j.mu.Unlock()
+			}
+			// A forced write when a scenario's last point drains — also on
+			// cancellation, since a canceled sweep still drains every
+			// point — so throttling never leaves completed progress only
+			// in memory for long.
+			if left[si].Add(-1) == 0 {
+				r.checkpoint(j)
+			} else if t.Complete() {
 				r.checkpointThrottled(j)
-			})
-		// A forced write at every scenario boundary — and, on
-		// cancellation, before the runner exits — so throttling never
-		// leaves completed progress only in memory for long.
-		r.checkpoint(j)
-		if ctx.Err() != nil {
-			return
-		}
+			}
+		})
+	if ctx.Err() != nil {
+		return
 	}
 
 	j.mu.Lock()
@@ -637,16 +631,27 @@ func (r *jobRegistry) checkpointLocked(j *sweepJob, state string) {
 	id := j.cp.ID
 	j.mu.Unlock()
 	if err == nil {
-		err = r.st.WriteFile(filepath.Join(r.jobsDir, id+".json"), data, r.sync)
+		err = r.st.WriteFile(r.checkpointPath(id), data, r.sync)
 		r.srv.engine.br.Record(err)
 	}
 	if err != nil {
-		r.srv.engine.storeErrors.Add(1)
-		r.log().LogAttrs(context.Background(), slog.LevelWarn, "sweep checkpoint write failed",
-			slog.String("sweep_id", id), slog.String("error", err.Error()))
+		r.storeFailed("sweep checkpoint write failed", id, err)
 		return
 	}
 	j.lastCk = time.Now()
+}
+
+// checkpointPath is the job's checkpoint file.
+func (r *jobRegistry) checkpointPath(id string) string {
+	return filepath.Join(r.jobsDir, id+".json")
+}
+
+// storeFailed counts and logs a failed checkpoint-file operation: an
+// unwritable disk degrades durability, not service.
+func (r *jobRegistry) storeFailed(msg, id string, err error) {
+	r.srv.engine.storeErrors.Add(1)
+	r.log().LogAttrs(context.Background(), slog.LevelWarn, msg,
+		slog.String("sweep_id", id), slog.String("error", err.Error()))
 }
 
 // delete cancels and removes a job: a running job stops at its next
@@ -679,10 +684,15 @@ func (r *jobRegistry) delete(id string) bool {
 	if r.st != nil {
 		// Under ckmu so an in-flight checkpoint commits first and no
 		// later one resurrects the file (checkpointLocked re-checks the
-		// canceled state).
+		// canceled state). The removal syncs like a checkpoint write, so
+		// a crash right after the 204 cannot bring the job back.
 		j.ckmu.Lock()
-		os.Remove(filepath.Join(r.jobsDir, id+".json"))
+		err := r.st.Remove(r.checkpointPath(id), r.sync)
 		j.ckmu.Unlock()
+		r.srv.engine.br.Record(err)
+		if err != nil {
+			r.storeFailed("sweep checkpoint removal failed", id, err)
+		}
 	}
 	r.log().LogAttrs(context.Background(), slog.LevelInfo, "sweep canceled",
 		slog.String("sweep_id", id))

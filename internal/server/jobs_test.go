@@ -13,8 +13,10 @@ import (
 	"time"
 
 	"dpcpp/internal/analysis"
+	"dpcpp/internal/experiments"
 	"dpcpp/internal/model"
 	"dpcpp/internal/partition"
+	"dpcpp/internal/taskgen"
 )
 
 // sweepGet GETs a sweep endpoint and decodes the JSON body into out.
@@ -99,6 +101,27 @@ func TestSweepJobLifecycle(t *testing.T) {
 		}
 		if got.Total != gp.Total || got.Accepted["DPCP-p-EN"] != gp.Accepted["DPCP-p-EN"] {
 			t.Errorf("point %d: sweep %+v != grid %+v", gp.Point, got, gp)
+		}
+	}
+	// And against the direct harness: the same seed through
+	// experiments.RunGrid gives the same per-point counts.
+	scen2a, err := taskgen.Fig2Scenario("2a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves, err := experiments.RunGrid(experiments.Campaign{
+		Methods:          []analysis.Method{analysis.DPCPpEN},
+		TasksetsPerPoint: 1,
+		Seed:             2020,
+	}, []taskgen.Scenario{scen2a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, want := range curves[0].Points {
+		got := res.Scenarios[0].Points[pi]
+		if got.Total != want.Total || got.Accepted["DPCP-p-EN"] != want.Accepted[analysis.DPCPpEN] {
+			t.Errorf("point %d: sweep total %d accepted %d, RunGrid total %d accepted %d",
+				pi, got.Total, got.Accepted["DPCP-p-EN"], want.Total, want.Accepted[analysis.DPCPpEN])
 		}
 	}
 
@@ -447,6 +470,19 @@ func TestSweepDelete(t *testing.T) {
 	s.ServeHTTP(w, httptest.NewRequest(http.MethodDelete, "/v1/sweeps/"+id, nil))
 	if w.Code != http.StatusNotFound {
 		t.Errorf("double delete: %d, want 404", w.Code)
+	}
+
+	// A daemon restarted on the same directory reloads the finished job
+	// and never the deleted one.
+	s.Close()
+	reopened := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	if code := sweepGet(t, reopened, "/v1/sweeps/"+id, &st); code != http.StatusNotFound {
+		t.Errorf("deleted job reloaded after restart: %d, state %q", code, st.State)
+	}
+	var list SweepList
+	if code := sweepGet(t, reopened, "/v1/sweeps", &list); code != http.StatusOK ||
+		len(list.Sweeps) != 1 || list.Sweeps[0].ID != next {
+		t.Errorf("restarted listing: %d %+v, want only %s", code, list, next)
 	}
 }
 

@@ -413,6 +413,87 @@ func TestSweepDeleteMidCheckpointWrite(t *testing.T) {
 	}
 }
 
+// TestSweepDeleteRemovalFailureCounted: a checkpoint removal the store
+// refuses still answers 204, but is counted as a store error like a failed
+// checkpoint write, and the file it could not remove is still there.
+func TestSweepDeleteRemovalFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	var failing atomic.Bool
+	hooks := &store.Hooks{BeforeWrite: func(path string) error {
+		if failing.Load() {
+			return errInjected
+		}
+		return nil
+	}}
+	s := newTestServer(t, Config{Workers: 2, StoreDir: dir, storeHooks: hooks})
+	id := submitSweep(t, s, `{"scenarios":["2a"],"n":1,"seed":2020,"methods":["DPCP-p-EN"]}`)
+	waitSweepState(t, s, id, sweepDone)
+	before := s.Metrics().StoreErrors
+
+	failing.Store(true)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodDelete, "/v1/sweeps/"+id, nil))
+	if w.Code != http.StatusNoContent {
+		t.Fatalf("DELETE: %d, want 204", w.Code)
+	}
+	if got := s.Metrics().StoreErrors; got != before+1 {
+		t.Errorf("store errors %d after a failed removal, want %d", got, before+1)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", id+".json")); err != nil {
+		t.Errorf("refused removal still deleted the checkpoint: %v", err)
+	}
+}
+
+// TestCloseWaitsForAbandonedAnalysis: an analysis whose caller gave up
+// keeps running so its result still lands in the cache and the store.
+// Close must wait for it; otherwise its store write can land after Close
+// returned, on a directory its owner may already be removing.
+func TestCloseWaitsForAbandonedAnalysis(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Workers: 1, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	inner := s.engine.testFn
+	s.engine.testFn = func(m analysis.Method, ts *model.Taskset, opts analysis.Options) partition.Result {
+		entered <- struct{}{}
+		<-release
+		return inner(m, ts, opts)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ts := testTaskset(t, 0)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.engine.analyze(ctx, ts.Hash(), ts, analysis.DPCPpEN, analysis.Options{}, false)
+		errc <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("abandoned caller got a result")
+	}
+
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+		close(release)
+		t.Fatal("Close returned while an abandoned analysis was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := st.Entries(); err != nil || n != 1 {
+		t.Fatalf("store holds %d entries (err %v) after Close, want the abandoned analysis's 1", n, err)
+	}
+}
+
 // rtShift spaces taskset perturbations so distinct test iterations get
 // distinct content hashes.
 func rtShift(i int) rt.Time { return rt.Time(i) * rt.Microsecond }

@@ -304,9 +304,14 @@ func failFirstWrites(n int) *store.Hooks {
 
 // Close stops the sweep-job runner: the in-flight job stops at its next
 // point boundary, its progress is checkpointed (when a store is
-// configured), and Close returns once the runner has exited. In-flight
-// HTTP requests are the http.Server's to drain, not Close's.
-func (s *Server) Close() { s.jobs.close() }
+// configured), and Close returns once the runner has exited and every
+// analysis its callers abandoned has finished, so nothing the server
+// started still writes to the store. In-flight HTTP requests are the
+// http.Server's to drain, not Close's.
+func (s *Server) Close() {
+	s.jobs.close()
+	s.engine.flight.wait()
+}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -618,7 +623,7 @@ func (s *Server) analyzeOne(ctx context.Context, h model.Hash, ts *model.Taskset
 func (s *Server) validateOptions(w http.ResponseWriter, methods []string,
 	pathCap int, placement string) ([]analysis.Method, analysis.Options, bool) {
 
-	ms, err := parseMethods(methods)
+	ms, err := analysis.ParseMethods(methods)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, analysis.Options{}, false

@@ -250,29 +250,6 @@ type errorResponse struct {
 	Patch   *model.PatchError `json:"patch,omitempty"`
 }
 
-// parseMethods validates and resolves a method-name list ([] = all five).
-func parseMethods(names []string) ([]analysis.Method, error) {
-	if len(names) == 0 {
-		return analysis.Methods(), nil
-	}
-	out := make([]analysis.Method, 0, len(names))
-	for _, name := range names {
-		m := analysis.Method(strings.TrimSpace(name))
-		known := false
-		for _, k := range analysis.Methods() {
-			if m == k {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return nil, fmt.Errorf("unknown method %q (known: %v)", name, analysis.Methods())
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // parsePlacement resolves the placement-heuristic name.
 func parsePlacement(name string) (partition.PlacementHeuristic, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {

@@ -189,3 +189,40 @@ func BenchmarkWriteFileAtomic(b *testing.B) {
 		})
 	}
 }
+
+// TestRemove: Remove deletes the file (synced or not), treats a file that
+// is already gone as success, and surfaces a BeforeWrite fault without
+// touching the file.
+func TestRemove(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), "job.json")
+	for _, sync := range []bool{false, true} {
+		if err := s.WriteFile(path, []byte("{}"), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Remove(path, sync); err != nil {
+			t.Fatalf("Remove(sync=%v): %v", sync, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("Remove(sync=%v) left the file (stat err %v)", sync, err)
+		}
+		if err := s.Remove(path, sync); err != nil {
+			t.Fatalf("Remove of a missing file: %v, want nil", err)
+		}
+	}
+
+	if err := s.WriteFile(path, []byte("{}"), false); err != nil {
+		t.Fatal(err)
+	}
+	errIO := errors.New("input/output error")
+	s.SetHooks(&Hooks{BeforeWrite: func(string) error { return errIO }})
+	if err := s.Remove(path, true); !errors.Is(err, errIO) {
+		t.Fatalf("Remove under write fault: %v, want injected error", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("faulted Remove deleted the file: %v", err)
+	}
+}

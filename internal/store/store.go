@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,8 +47,9 @@ type Hooks struct {
 	// BeforeRead fires before reading a value or checkpoint file; a
 	// non-nil return is surfaced as the read's error.
 	BeforeRead func(path string) error
-	// BeforeWrite fires before creating the temp file of an atomic write;
-	// a non-nil return fails the write with that error.
+	// BeforeWrite fires before creating the temp file of an atomic write
+	// and before a Remove; a non-nil return fails the operation with that
+	// error.
 	BeforeWrite func(path string) error
 	// BeforeRename fires after the temp file is durable but before the
 	// rename. Returning ErrTornWrite skips the rename, leaves the temp
@@ -158,6 +160,27 @@ func (s *Store) Put(key string, val []byte) error {
 // recomputable.
 func (s *Store) WriteFile(path string, data []byte, sync bool) error {
 	return writeFileAtomic(path, data, sync, s.hooks.Load())
+}
+
+// Remove deletes the file at path under the store's fault-injection
+// hooks; a file that is already gone is not an error. With sync set, the
+// parent directory is fsynced afterwards, so the removal survives power
+// loss: without it, a crash right after Remove returns can bring the file
+// back (the sweep-job registry deletes checkpoints this way, and a
+// resurrected checkpoint is a job the client deleted).
+func (s *Store) Remove(path string, sync bool) error {
+	if h := s.hooks.Load(); h != nil && h.BeforeWrite != nil {
+		if err := h.BeforeWrite(path); err != nil {
+			return err
+		}
+	}
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if sync {
+		return syncDir(filepath.Dir(path))
+	}
+	return nil
 }
 
 // Entries counts the stored values; it walks the store's shard
