@@ -9,6 +9,7 @@
 package dpcpp
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -512,4 +513,40 @@ func BenchmarkGridSweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(grid)), "scenarios")
+}
+
+// BenchmarkDecodeTaskset measures model.DecodeTaskset (decode plus
+// Finalize) on one Fig. 2(a) taskset at utilization 8. canonical is the
+// document EncodeTaskset writes, which takes the single-pass decoder;
+// fallback prepends an unknown field, which the decoder declines, so the
+// same taskset goes through encoding/json.
+func BenchmarkDecodeTaskset(b *testing.B) {
+	scen, err := taskgen.Fig2Scenario("2a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts, err := experiments.GenerateSample(taskgen.NewGenerator(scen), 1, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.EncodeTaskset(&buf, ts); err != nil {
+		b.Fatal(err)
+	}
+	canonical := buf.Bytes()
+	fallback := append([]byte(`{"comment":"",`), canonical[1:]...)
+	for _, bc := range []struct {
+		name string
+		doc  []byte
+	}{{"canonical", canonical}, {"fallback", fallback}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.doc)))
+			for i := 0; i < b.N; i++ {
+				if _, err := model.DecodeTaskset(bytes.NewReader(bc.doc)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -36,22 +36,25 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// benchGroup is one `go test -bench` invocation: a benchmark regex and the
-// fixed -benchtime iteration count it runs at.
-type benchGroup struct{ bench, benchtime string }
+// benchGroup is one `go test -bench` invocation: a benchmark regex, the
+// fixed -benchtime iteration count it runs at, and the package it runs in
+// (empty = the -pkg flag).
+type benchGroup struct{ bench, benchtime, pkg string }
 
 // defaultSuite pins the CI benchmark subset: the analysis hot path (the
 // zero-allocation trajectory this gate exists for), the view enumeration
 // engine under it, the instrumented variant that pins the per-stage
 // observability overhead at zero extra allocations, the incremental
 // delta path whose cache-hit-territory latency POST /v1/analyze/delta
-// claims, taskset generation, and the whole Fig. 2 sweep those layers
-// compose into. Fixed -benchtime iteration counts keep allocs/op
-// deterministic; one sweep op takes about half a second, so the sweep
-// group runs fewer of them.
+// claims, taskset generation and decoding, the whole Fig. 2 sweep those
+// layers compose into, and one /v1/analyze request from body read to
+// encoded response, cold and as an exact-body cache hit. Fixed -benchtime
+// iteration counts keep allocs/op deterministic; one sweep op takes about
+// half a second, so the sweep group runs fewer of them.
 var defaultSuite = []benchGroup{
-	{"BenchmarkAnalysisMethods|BenchmarkPathEnumeration|BenchmarkInstrumentedAnalysis|BenchmarkDeltaAnalyze|BenchmarkTaskGeneration", "100x"},
-	{"BenchmarkFig2Sweep", "5x"},
+	{"BenchmarkAnalysisMethods|BenchmarkPathEnumeration|BenchmarkInstrumentedAnalysis|BenchmarkDeltaAnalyze|BenchmarkTaskGeneration|BenchmarkDecodeTaskset", "100x", ""},
+	{"BenchmarkFig2Sweep", "5x", ""},
+	{"BenchmarkServerAnalyze/^(fig2a-cold|fig2a-hit|fig2ac-cold)$", "100x", "./internal/server"},
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -69,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bench     = fs.String("bench", "", "benchmark regex passed to go test (default: the pinned suite)")
 		count     = fs.Int("count", 5, "benchmark repetitions (median/min aggregated)")
 		benchtime = fs.String("benchtime", "", "go test -benchtime value (default: 100x, or each pinned group's own)")
-		pkg       = fs.String("pkg", ".", "package to benchmark")
+		pkg       = fs.String("pkg", ".", "package to benchmark (pinned groups that name their own package keep it)")
 		timeTh    = fs.Float64("time-threshold", 0.50, "allowed fractional ns/op growth")
 		allocTh   = fs.Float64("alloc-threshold", 0.10, "allowed fractional allocs/op growth")
 		slack     = fs.Int64("alloc-slack", 2, "absolute allocs/op slack on top of the threshold")
@@ -80,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	th := benchgate.Thresholds{Time: *timeTh, Alloc: *allocTh, AllocSlack: *slack}
 	suite := defaultSuite
 	if *bench != "" {
-		suite = []benchGroup{{*bench, "100x"}}
+		suite = []benchGroup{{*bench, "100x", ""}}
 	}
 	if *benchtime != "" {
 		suite = append([]benchGroup(nil), suite...)
@@ -133,7 +136,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 func runSuite(suite []benchGroup, pkg string, count int, stderr io.Writer) (*benchgate.Snapshot, error) {
 	var snap *benchgate.Snapshot
 	for _, g := range suite {
-		s, err := runBenchmarks(g.bench, g.benchtime, pkg, count, stderr)
+		p := g.pkg
+		if p == "" {
+			p = pkg
+		}
+		s, err := runBenchmarks(g.bench, g.benchtime, p, count, stderr)
 		if err != nil {
 			return nil, err
 		}

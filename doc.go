@@ -146,6 +146,28 @@
 //     carries base_taskset, or rejected with a structured 400 telling the
 //     client to re-send it when it carries only the hash.
 //
+// # Request decoding
+//
+// A cold POST /v1/analyze spends most of its non-analysis time turning
+// bytes into a taskset, so canonical bodies skip reflection.
+// model.Decoder decodes the taskset schema and the request envelope in
+// one pass over the body with one byte cursor, allocating only the values
+// it returns at their final sizes. It accepts a strict subset of what
+// encoding/json accepts: exact lowercase keys, no duplicate keys,
+// escape-free ASCII strings, canonical int64 integers, no null and
+// nothing but whitespace after the document — the subset EncodeTaskset
+// and json.Marshal produce. The rule is decline and fall back: on
+// anything outside the subset the decoder stops without an error and the
+// handler decodes the same bytes with encoding/json
+// (DisallowUnknownFields, one document), which remains the reference and
+// the only judge of acceptance and error text. So the set of accepted
+// bodies, status codes and messages is exactly encoding/json's, and
+// FuzzAnalyzeBody checks that every body the decoder accepts decodes
+// reflect.DeepEqual to the reference. model.DecodeTaskset (the CLI tools
+// and audit fixtures) takes the same path, its fallback keeping the old
+// leniency about unknown fields. Request bodies are read into pooled
+// buffers sized from Content-Length and never outlive the handler.
+//
 // # Sweep jobs and the persistent store
 //
 // The paper's headline artifact is whole acceptance-ratio campaigns, so

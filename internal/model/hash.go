@@ -1,10 +1,13 @@
 package model
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"strconv"
+	"sync"
 
 	"dpcpp/internal/rt"
 )
@@ -26,7 +29,26 @@ func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 // The invariant the fuzzer pins (FuzzTasksetJSON): for any valid taskset,
 // DecodeTaskset(EncodeTaskset(ts)).Hash() == ts.Hash().
 func (ts *Taskset) Hash() Hash {
-	return sha256.Sum256(ts.AppendCanonical(nil))
+	bp := canonPool.Get().(*[]byte)
+	*bp = ts.AppendCanonical(slices.Grow((*bp)[:0], ts.canonicalSize()))
+	h := sha256.Sum256(*bp)
+	canonPool.Put(bp)
+	return h
+}
+
+// canonPool holds the scratch buffers Hash and Task.Finalize serialize
+// into; the buffers never outlive the call that borrowed them.
+var canonPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// canonicalSize bounds the length of AppendCanonical's output: the cached
+// task bodies plus at most four int64s and their separators per header.
+func (ts *Taskset) canonicalSize() int {
+	const header = 4 * (len("-9223372036854775808") + 1)
+	n := len("ts/v1|m=|nr=\n") + 2*len("-9223372036854775808")
+	for _, t := range ts.Tasks {
+		n += len("task|") + header + len(t.canon)
+	}
+	return n
 }
 
 // AppendCanonical appends the canonical serialization of the taskset to b
@@ -55,13 +77,18 @@ func (ts *Taskset) AppendCanonical(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(ts.NumResources), 10)
 	b = append(b, '\n')
 
-	order := append([]*Task(nil), ts.Tasks...)
-	sort.Slice(order, func(i, j int) bool { return order[i].ID < order[j].ID })
+	order := ts.Tasks
+	if !slices.IsSortedFunc(order, byID) {
+		order = slices.Clone(order)
+		slices.SortFunc(order, byID)
+	}
 	for _, t := range order {
 		b = t.appendCanonical(b)
 	}
 	return b
 }
+
+func byID(a, b *Task) int { return cmp.Compare(a.ID, b.ID) }
 
 func (t *Task) appendCanonical(b []byte) []byte {
 	b = append(b, "task|"...)
@@ -85,18 +112,24 @@ func (t *Task) appendCanonical(b []byte) []byte {
 // appendCanonBody appends the structural part of the canonical form: the
 // vertex, edge and critical-section lines. It is priority-independent, so
 // Task.Finalize can cache it before the owning taskset assigns priorities.
+// It needs the adjacency lists: emitting each vertex's sorted successors
+// in vertex order yields the edges in (from, to) order without sorting
+// the edge slice.
 func (t *Task) appendCanonBody(b []byte) []byte {
+	var qbuf [16]int
+	var ybuf [16]rt.VertexID
+	qs, ys := qbuf[:0], ybuf[:0]
 	for _, v := range t.Vertices {
 		b = append(b, 'v')
 		b = append(b, '|')
 		b = strconv.AppendInt(b, v.WCET, 10)
-		qs := make([]int, 0, len(v.Requests))
+		qs = qs[:0]
 		for q, c := range v.Requests {
 			if c > 0 {
 				qs = append(qs, int(q))
 			}
 		}
-		sort.Ints(qs)
+		slices.Sort(qs)
 		for _, q := range qs {
 			b = append(b, '|')
 			b = strconv.AppendInt(b, int64(q), 10)
@@ -106,25 +139,20 @@ func (t *Task) appendCanonBody(b []byte) []byte {
 		b = append(b, '\n')
 	}
 
-	edges := append([]Edge(nil), t.Edges...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+	for x := range t.Vertices {
+		ys = append(ys[:0], t.succOf(rt.VertexID(x))...)
+		slices.Sort(ys)
+		for i, y := range ys {
+			if i > 0 && y == ys[i-1] {
+				continue // a repeated edge is the same constraint
+			}
+			b = append(b, 'e')
+			b = append(b, '|')
+			b = strconv.AppendInt(b, int64(x), 10)
+			b = append(b, '|')
+			b = strconv.AppendInt(b, int64(y), 10)
+			b = append(b, '\n')
 		}
-		return edges[i].To < edges[j].To
-	})
-	var prev Edge
-	for i, e := range edges {
-		if i > 0 && e == prev {
-			continue
-		}
-		prev = e
-		b = append(b, 'e')
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(e.From), 10)
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(e.To), 10)
-		b = append(b, '\n')
 	}
 
 	for q, n := range t.nReq {
@@ -137,4 +165,13 @@ func (t *Task) appendCanonBody(b []byte) []byte {
 		}
 	}
 	return b
+}
+
+// freezeCanonBody caches the task's canonical body at its exact length,
+// serializing through a pooled scratch buffer.
+func (t *Task) freezeCanonBody() {
+	bp := canonPool.Get().(*[]byte)
+	*bp = t.appendCanonBody((*bp)[:0])
+	t.canon = bytes.Clone(*bp)
+	canonPool.Put(bp)
 }

@@ -14,6 +14,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"dpcpp/internal/rt"
@@ -65,12 +66,16 @@ type Task struct {
 	wcet        rt.Time       // C_i = sum of vertex WCETs
 	longestPath rt.Time       // L*_i
 	topo        []rt.VertexID // topological order
-	succ        [][]rt.VertexID
-	pred        [][]rt.VertexID
-	nReq        []int64 // N_{i,q} per resource
-	heads       []rt.VertexID
-	tails       []rt.VertexID
-	canon       []byte // canonical body (vertices/edges/CS), see hash.go
+	// adj holds every vertex's successor list, then every vertex's
+	// predecessor list, each in edge order; adjOff delimits them (see
+	// succOf and predOf). The offsets are int32 to halve the index;
+	// Finalize rejects a task with more edges than they can address.
+	adj    []rt.VertexID
+	adjOff []int32
+	nReq   []int64 // N_{i,q} per resource
+	heads  []rt.VertexID
+	tails  []rt.VertexID
+	canon  []byte // canonical body (vertices/edges/CS), see hash.go
 
 	// bounds memoizes ComputePathBounds; boundsOnce makes the first call
 	// safe when several analyses of one taskset run concurrently.
@@ -151,8 +156,10 @@ func (t *Task) Finalize(numResources int) error {
 	}
 
 	n := len(t.Vertices)
-	t.succ = make([][]rt.VertexID, n)
-	t.pred = make([][]rt.VertexID, n)
+	if len(t.Edges) > math.MaxInt32/2 {
+		return fmt.Errorf("model: task %d has %d edges, above the limit %d",
+			t.ID, len(t.Edges), math.MaxInt32/2)
+	}
 	for _, e := range t.Edges {
 		if int(e.From) >= n || int(e.To) >= n || e.From < 0 || e.To < 0 {
 			return fmt.Errorf("model: task %d edge (%d,%d) references missing vertex",
@@ -161,11 +168,8 @@ func (t *Task) Finalize(numResources int) error {
 		if e.From == e.To {
 			return fmt.Errorf("model: task %d has self-loop at vertex %d", t.ID, e.From)
 		}
-		t.succ[e.From] = append(t.succ[e.From], e.To)
-		t.pred[e.To] = append(t.pred[e.To], e.From)
 	}
-
-	topo, err := t.topoSort()
+	topo, err := t.topoSort(t.buildAdjacency())
 	if err != nil {
 		return err
 	}
@@ -210,20 +214,30 @@ func (t *Task) Finalize(numResources int) error {
 		if d > t.longestPath {
 			t.longestPath = d
 		}
-		for _, y := range t.succ[x] {
+		for _, y := range t.succOf(x) {
 			if d > dist[y] {
 				dist[y] = d
 			}
 		}
 	}
 
-	t.heads = t.heads[:0]
-	t.tails = t.tails[:0]
+	// Heads and tails share one backing array, each capped at its count.
+	nh, nt := 0, 0
 	for x := range t.Vertices {
-		if len(t.pred[x]) == 0 {
+		if len(t.predOf(rt.VertexID(x))) == 0 {
+			nh++
+		}
+		if len(t.succOf(rt.VertexID(x))) == 0 {
+			nt++
+		}
+	}
+	ends := make([]rt.VertexID, nh+nt)
+	t.heads, t.tails = ends[:0:nh], ends[nh:nh]
+	for x := range t.Vertices {
+		if len(t.predOf(rt.VertexID(x))) == 0 {
 			t.heads = append(t.heads, rt.VertexID(x))
 		}
-		if len(t.succ[x]) == 0 {
+		if len(t.succOf(rt.VertexID(x))) == 0 {
 			t.tails = append(t.tails, rt.VertexID(x))
 		}
 	}
@@ -233,35 +247,72 @@ func (t *Task) Finalize(numResources int) error {
 	// reuse it instead of re-sorting request maps and edges on every call.
 	// (Priority may still be assigned by the owning taskset's Finalize, so
 	// the header line is not cached.)
-	t.canon = t.appendCanonBody(nil)
+	t.freezeCanonBody()
 
 	t.finalized = true
 	return nil
 }
 
-func (t *Task) topoSort() ([]rt.VertexID, error) {
+// buildAdjacency lays out the successor and predecessor lists, each in
+// edge order, in one backing array (adj) delimited by adjOff. It returns
+// the in-degrees for topoSort.
+func (t *Task) buildAdjacency() []int32 {
 	n := len(t.Vertices)
-	indeg := make([]int, n)
-	for x := range t.Vertices {
-		for range t.pred[x] {
-			indeg[x]++
-		}
+	// off[x+1] counts list x (successors of x, then predecessors of x-n);
+	// the prefix sum turns counts into starts, the fill advances each
+	// start to its list's end, and the final shift restores the starts.
+	off := make([]int32, 2*n+1)
+	for _, e := range t.Edges {
+		off[e.From+1]++
+		off[n+int(e.To)+1]++
 	}
-	queue := make([]rt.VertexID, 0, n)
-	for x := 0; x < n; x++ {
-		if indeg[x] == 0 {
-			queue = append(queue, rt.VertexID(x))
-		}
+	indeg := make([]int32, n)
+	copy(indeg, off[n+1:])
+	for x := 1; x < len(off); x++ {
+		off[x] += off[x-1]
 	}
+	adj := make([]rt.VertexID, 2*len(t.Edges))
+	for _, e := range t.Edges {
+		adj[off[e.From]] = e.To
+		off[e.From]++
+		adj[off[n+int(e.To)]] = e.From
+		off[n+int(e.To)]++
+	}
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	t.adj, t.adjOff = adj, off
+	return indeg
+}
+
+// succOf and predOf return vertex x's successors and predecessors in edge
+// order. Each list is capped at its own length, so an append to one
+// reallocates instead of overwriting its neighbour.
+func (t *Task) succOf(x rt.VertexID) []rt.VertexID {
+	off := t.adjOff[x : x+2]
+	return t.adj[off[0]:off[1]:off[1]]
+}
+
+func (t *Task) predOf(x rt.VertexID) []rt.VertexID {
+	off := t.adjOff[rt.VertexID(len(t.Vertices))+x:][:2]
+	return t.adj[off[0]:off[1]:off[1]]
+}
+
+// topoSort orders the vertices by Kahn's algorithm, consuming indeg.
+func (t *Task) topoSort(indeg []int32) ([]rt.VertexID, error) {
+	n := len(t.Vertices)
 	order := make([]rt.VertexID, 0, n)
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		order = append(order, x)
-		for _, y := range t.succ[x] {
+	for x, d := range indeg {
+		if d == 0 {
+			order = append(order, rt.VertexID(x))
+		}
+	}
+	// order doubles as the FIFO queue: a vertex is appended when it
+	// becomes ready, and the queue's dequeue order is the order itself.
+	for i := 0; i < len(order); i++ {
+		for _, y := range t.succOf(order[i]) {
 			indeg[y]--
 			if indeg[y] == 0 {
-				queue = append(queue, y)
+				order = append(order, y)
 			}
 		}
 	}
@@ -346,10 +397,10 @@ func (t *Task) VertexNonCrit(x rt.VertexID) rt.Time {
 func (t *Task) Topo() []rt.VertexID { t.mustFinal(); return t.topo }
 
 // Succ returns the successors of vertex x.
-func (t *Task) Succ(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.succ[x] }
+func (t *Task) Succ(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.succOf(x) }
 
 // Pred returns the predecessors of vertex x.
-func (t *Task) Pred(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.pred[x] }
+func (t *Task) Pred(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.predOf(x) }
 
 // Heads returns the source vertices of the DAG.
 func (t *Task) Heads() []rt.VertexID { t.mustFinal(); return t.heads }

@@ -248,8 +248,8 @@ func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
 
 		finalized: true,
 		topo:      t.topo,
-		succ:      t.succ,
-		pred:      t.pred,
+		adj:       t.adj,
+		adjOff:    t.adjOff,
 		nReq:      t.nReq,
 		heads:     t.heads,
 		tails:     t.tails,
@@ -284,13 +284,13 @@ func (t *Task) cloneWithWCETs(over map[rt.VertexID]rt.Time) (*Task, error) {
 		if d > nt.longestPath {
 			nt.longestPath = d
 		}
-		for _, y := range nt.succ[x] {
+		for _, y := range nt.succOf(x) {
 			if d > dist[y] {
 				dist[y] = d
 			}
 		}
 	}
-	nt.canon = nt.appendCanonBody(nil)
+	nt.freezeCanonBody()
 	return nt, nil
 }
 

@@ -39,12 +39,13 @@ func (t *Task) CountPaths() int64 {
 	// Iterate in reverse topological order: count[x] = paths from x to a tail.
 	for i := len(t.topo) - 1; i >= 0; i-- {
 		x := t.topo[i]
-		if len(t.succ[x]) == 0 {
+		succ := t.succOf(x)
+		if len(succ) == 0 {
 			count[x] = 1
 			continue
 		}
 		var c int64
-		for _, y := range t.succ[x] {
+		for _, y := range succ {
 			c = satAddI64(c, count[y])
 		}
 		count[x] = c
@@ -98,7 +99,7 @@ func (t *Task) visitPaths(visit func(vertices []rt.VertexID)) {
 		stack = append(stack[:0], h)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			succ := t.succ[f.x]
+			succ := t.succOf(f.x)
 			if len(succ) == 0 {
 				visit(stack)
 			}
@@ -198,7 +199,7 @@ func (t *Task) computePathBounds() *PathBounds {
 	for i := len(t.topo) - 1; i >= 0; i-- {
 		x := int(t.topo[i])
 		r := rows[x*width : (x+1)*width]
-		if succ := t.succ[x]; len(succ) > 0 {
+		if succ := t.succOf(rt.VertexID(x)); len(succ) > 0 {
 			y := int(succ[0])
 			copy(r, rows[y*width:(y+1)*width])
 			for _, y := range succ[1:] {

@@ -282,7 +282,7 @@ func refPathBounds(t *Task) *PathBounds {
 		for i := len(t.topo) - 1; i >= 0; i-- {
 			x := t.topo[i]
 			var o int64
-			for k, y := range t.succ[x] {
+			for k, y := range t.succOf(x) {
 				if k == 0 || better(best[y], o) {
 					o = best[y]
 				}

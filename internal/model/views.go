@@ -218,14 +218,14 @@ func (t *Task) enumerateViews(cap int, s *ViewScratch, rec *ViewPlan) (views []P
 			rec.segs = append(rec.segs, planSeg{x: x})
 			seg = &rec.segs[len(rec.segs)-1]
 		}
-		if len(t.pred[x]) == 0 {
+		if len(t.predOf(x)) == 0 {
 			j := s.fold(m, x, na, s.zeroSig, s.nonCrit[x], 1)
 			if seg != nil {
 				//schedlint:ignore hotpath plan recording runs only under the delta analyzer
 				seg.ops = append(seg.ops, planOp{src: -1, dst: slotBase[x] + int32(j)})
 			}
 		} else {
-			for _, p := range t.pred[x] {
+			for _, p := range t.predOf(x) {
 				for i, st := range s.states[p] {
 					j := s.fold(m, x, na, st.sig, st.nonCrit+s.nonCrit[x], st.paths)
 					if seg != nil {

@@ -41,9 +41,11 @@ type Trace struct {
 }
 
 // traceSpanCap preallocates span storage; a request recording at most this
-// many spans never reallocates. Overflow spans still append (correctness
+// many spans never reallocates. A cold /v1/analyze records the most: its
+// five stage spans (read, decode, finalize, hash, encode) plus one
+// analysis or store span per method. Overflow spans still append (correctness
 // over the alloc nicety — tracing is request-path, not analysis-path).
-const traceSpanCap = 8
+const traceSpanCap = 16
 
 // NewTrace starts a trace for one request.
 func NewTrace(id, endpoint, method, path string, start time.Time) *Trace {

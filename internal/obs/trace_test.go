@@ -56,6 +56,22 @@ func TestTraceSpansAndServerTiming(t *testing.T) {
 	}
 }
 
+// TestAddSpanZeroAlloc: recording up to traceSpanCap spans costs no
+// allocation, so request-stage instrumentation stays off the heap.
+func TestAddSpanZeroAlloc(t *testing.T) {
+	start := time.Now()
+	tr := NewTrace("abc123", "analyze", "POST", "/v1/analyze", start)
+	n := testing.AllocsPerRun(1, func() {
+		tr.spans = tr.spans[:0]
+		for i := 0; i < traceSpanCap; i++ {
+			tr.AddSpan("decode", start)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("%d spans cost %.0f allocations, want 0", traceSpanCap, n)
+	}
+}
+
 // TestTraceNilSafety: every method on a nil trace must be a no-op so code
 // paths instrument unconditionally.
 func TestTraceNilSafety(t *testing.T) {

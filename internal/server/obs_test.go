@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,6 +51,53 @@ func TestObservabilityHeaders(t *testing.T) {
 	}
 	if st2 := w2.Header().Get("Server-Timing"); !strings.Contains(st2, "total;dur=") {
 		t.Fatalf("repeat Server-Timing = %q", st2)
+	}
+}
+
+// TestAnalyzeStageSpans: a cold /v1/analyze reports where its time went —
+// body read, decode, finalize, hash and response encode around the
+// per-method analysis spans — in Server-Timing and in the trace ring; an
+// exact-body repeat reads and answers, nothing else.
+func TestAnalyzeStageSpans(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	body := analyzeBody(t, testTaskset(t, 0)) // all five methods
+	stages := []string{"read", "decode", "finalize", "hash", "encode"}
+	w := post(t, s, "/v1/analyze", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("analyze: %d %s", w.Code, w.Body.String())
+	}
+	st := w.Header().Get("Server-Timing")
+	for _, name := range stages {
+		if !strings.Contains(st, name+";dur=") {
+			t.Errorf("cold Server-Timing %q lacks a %s span", st, name)
+		}
+	}
+	if n := strings.Count(st, "analysis;dur="); n != len(analysis.Methods()) {
+		t.Errorf("cold Server-Timing %q has %d analysis spans, want %d", st, n, len(analysis.Methods()))
+	}
+
+	var dump TraceDump
+	if err := json.Unmarshal(get(t, s, "/v1/debug/traces").Body.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, tr := range dump.Traces {
+		if tr.Endpoint == "analyze" {
+			for _, sp := range tr.Spans {
+				names = append(names, sp.Name)
+			}
+			break
+		}
+	}
+	for _, name := range stages {
+		if !slices.Contains(names, name) {
+			t.Errorf("analyze trace spans %v lack %s", names, name)
+		}
+	}
+
+	st = post(t, s, "/v1/analyze", body).Header().Get("Server-Timing")
+	if !strings.HasPrefix(st, "read;dur=") || strings.Count(st, ";dur=") != 2 {
+		t.Errorf("exact-body hit Server-Timing = %q, want read and total only", st)
 	}
 }
 

@@ -87,6 +87,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -409,44 +410,131 @@ func (s *Server) finishAnalysis(w http.ResponseWriter, err error) bool {
 // decodeBody decodes one JSON document into dst with the request-boundary
 // hardening: the MaxBytesReader cap (413), unknown-field rejection and a
 // single-document requirement (400). The taskset itself is then validated
-// by model.Finalize, which PR 2 hardened against hostile documents — no
+// by model.Finalize, which is hardened against hostile documents — no
 // panic path is reachable from a request body.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return err
-		}
-		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
-		return err
-	}
-	if dec.More() {
-		err := fmt.Errorf("trailing data after JSON document")
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return err
-	}
-	return nil
+	return writeDecodeError(w, decodeStrict(r.Body, dst))
 }
 
 // decodeBytes is decodeBody for a pre-read body (the /v1/analyze fast
 // path reads the body up front to key the exact-body cache).
 func decodeBytes(w http.ResponseWriter, body []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
+	return writeDecodeError(w, decodeStrict(bytes.NewReader(body), dst))
+}
+
+var errTrailingData = errors.New("trailing data after JSON document")
+
+// decodeStrict decodes exactly one JSON document from r into dst: unknown
+// fields are errors, and anything but whitespace after the document —
+// a second document or a stray closing bracket alike — is trailing data.
+func decodeStrict(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
 		return err
 	}
-	if dec.More() {
-		err := fmt.Errorf("trailing data after JSON document")
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errTrailingData
+}
+
+// writeDecodeError writes the structured 4xx for a decodeStrict error and
+// passes the error through.
+func writeDecodeError(w http.ResponseWriter, err error) error {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", tooLarge.Limit)
+	case errors.Is(err, errTrailingData):
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return err
+	default:
+		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
 	}
-	return nil
+	return err
+}
+
+// analyzeKeys are the /v1/analyze envelope's wire keys, in the order of
+// decodeAnalyze's switch.
+var analyzeKeys = []string{"taskset", "methods", "path_cap", "placement", "explain", "timeout_ms"}
+
+// decodeAnalyze decodes a canonical /v1/analyze body in one pass with
+// model.Decoder. It reports false when the decoder declines, and the
+// caller then decodes the same bytes with decodeBytes, which decides
+// acceptance and error text; on every body the decoder accepts, the two
+// produce equal requests (FuzzAnalyzeBody).
+func decodeAnalyze(body []byte) (*AnalyzeRequest, bool) {
+	d := model.NewDecoder(body)
+	defer d.Release()
+	req := new(AnalyzeRequest)
+	if !d.Object() {
+		return nil, false
+	}
+	var seen uint32
+	for {
+		switch d.Field(analyzeKeys, &seen) {
+		case 0:
+			req.Taskset = d.Taskset()
+		case 1:
+			req.Methods = d.Strings()
+		case 2:
+			req.PathCap = d.Int()
+		case 3:
+			req.Placement = d.String()
+		case 4:
+			req.Explain = d.Bool()
+		case 5:
+			req.TimeoutMS = d.Int64()
+		default:
+			return req, d.End()
+		}
+	}
+}
+
+// bodyPool recycles /v1/analyze body buffers. A body never outlives its
+// handler: the exact-body cache keys on its SHA-256, and both decoders
+// copy every string they keep.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody is the largest buffer returned to bodyPool, so one huge
+// body does not stay pinned by the pool.
+const maxPooledBody = 1 << 20
+
+// readBody reads the request body into a pooled buffer. With a
+// Content-Length (capped by limit) the buffer is sized once, with a spare
+// byte so the read that sees EOF needs no growth. Return the buffer with
+// putBody.
+func readBody(r *http.Request, limit int64) (*[]byte, error) {
+	bp := bodyPool.Get().(*[]byte)
+	b := (*bp)[:0]
+	if n := r.ContentLength; n >= 0 {
+		b = slices.Grow(b, int(min(n, limit))+1)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*bp = b
+			if err == io.EOF {
+				err = nil
+			}
+			return bp, err
+		}
+	}
+}
+
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
 }
 
 // finalizeTaskset validates a decoded taskset, translating model's
@@ -465,37 +553,23 @@ func finalizeTaskset(w http.ResponseWriter, ts *model.Taskset, pos string) bool 
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.engine.requests.Add(1)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		}
-		return
-	}
-	bodyKey := sha256.Sum256(body)
-	if resp, ok := s.fast.get(string(bodyKey[:])); ok {
-		// One hit per method result served, exactly like cachedAll: the
-		// fast path is an optimization of the cached path, not a separate
-		// accounting regime.
-		s.engine.cacheHits.Add(int64(resp.methods))
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(resp.body)
-		return
-	}
-
-	var req AnalyzeRequest
-	if decodeBytes(w, body, &req) != nil {
+	tr := obs.TraceFromContext(r.Context())
+	bodyKey, req, ok := s.readAnalyze(w, r, tr)
+	if !ok {
 		return
 	}
 	ms, opts, ok := s.validateOptions(w, req.Methods, req.PathCap, req.Placement)
-	if !ok || !finalizeTaskset(w, req.Taskset, "") {
+	if !ok {
 		return
 	}
+	start := time.Now()
+	if !finalizeTaskset(w, req.Taskset, "") {
+		return
+	}
+	tr.AddSpan("finalize", start)
+	start = time.Now()
 	h := req.Taskset.Hash()
+	tr.AddSpan("hash", start)
 	resp := &AnalyzeResponse{Hash: h.String()}
 	// A fully-cached request needs zero analysis work, so it is served
 	// even when the admission queue is saturated.
@@ -513,15 +587,66 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	out, err := json.Marshal(resp)
+	start = time.Now()
+	b, err := json.Marshal(resp)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
-	out = append(out, '\n') // match json.Encoder framing everywhere else
+	// The exact-body cache keeps out, so size it exactly; appending the
+	// newline (json.Encoder's framing, used everywhere else) to b would
+	// leave a quarter or more of every cached response as spare capacity.
+	out := make([]byte, len(b)+1)
+	out[copy(out, b)] = '\n'
+	tr.AddSpan("encode", start)
 	s.fast.add(string(bodyKey[:]), fastResponse{body: out, methods: len(ms)})
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(out)
+}
+
+// readAnalyze reads and decodes one /v1/analyze body, or answers it from
+// the exact-body cache; false means the response is already written. The
+// pooled body buffer goes back before the analysis queues for a worker,
+// so the pool holds about one buffer per handler still reading, not one
+// per request waiting for an analysis.
+func (s *Server) readAnalyze(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (
+	bodyKey [sha256.Size]byte, req *AnalyzeRequest, ok bool) {
+
+	start := time.Now()
+	bp, err := readBody(r, s.cfg.MaxBody)
+	defer putBody(bp)
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				"request body exceeds %d bytes", tooLarge.Limit)
+		} else {
+			writeError(w, http.StatusBadRequest, "reading request: %v", err)
+		}
+		return bodyKey, nil, false
+	}
+	body := *bp
+	bodyKey = sha256.Sum256(body)
+	tr.AddSpan("read", start)
+	if resp, hit := s.fast.get(string(bodyKey[:])); hit {
+		// One hit per method result served, exactly like cachedAll: the
+		// fast path is an optimization of the cached path, not a separate
+		// accounting regime.
+		s.engine.cacheHits.Add(int64(resp.methods))
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(resp.body)
+		return bodyKey, nil, false
+	}
+
+	start = time.Now()
+	if req, ok = decodeAnalyze(body); !ok {
+		req = new(AnalyzeRequest)
+		if decodeBytes(w, body, req) != nil {
+			return bodyKey, nil, false
+		}
+	}
+	tr.AddSpan("decode", start)
+	return bodyKey, req, true
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

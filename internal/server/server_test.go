@@ -472,6 +472,9 @@ func TestHostileRequests(t *testing.T) {
 		{"missing taskset", "/v1/analyze", `{}`, http.StatusBadRequest},
 		{"unknown field", "/v1/analyze", `{"taskset":` + valid + `,"bogus":1}`, http.StatusBadRequest},
 		{"trailing garbage", "/v1/analyze", `{"taskset":` + valid + `}{"again":true}`, http.StatusBadRequest},
+		{"trailing brace", "/v1/analyze", `{"taskset":` + valid + `}}`, http.StatusBadRequest},
+		{"trailing bracket", "/v1/analyze", `{"taskset":` + valid + `}]`, http.StatusBadRequest},
+		{"batch trailing brace", "/v1/analyze/batch", `{"tasksets":[` + valid + `]}}`, http.StatusBadRequest},
 		{"unknown method", "/v1/analyze", `{"taskset":` + valid + `,"methods":["DPCP-q"]}`, http.StatusBadRequest},
 		{"bad placement", "/v1/analyze", `{"taskset":` + valid + `,"placement":"best"}`, http.StatusBadRequest},
 		{"negative path cap", "/v1/analyze", `{"taskset":` + valid + `,"path_cap":-1}`, http.StatusBadRequest},
@@ -626,7 +629,9 @@ func FuzzAnalyzeRequest(f *testing.F) {
 // miss, one analysis per request) vs hit (content-addressed cache). The
 // tiny taskset isolates the transport floor; the fig2a family uses the
 // paper's Sec. VII-A synthesis at util 8, where the cache turns
-// millisecond analyses into microsecond lookups.
+// millisecond analyses into microsecond lookups. fig2ac-cold sends the
+// admission workload's mix (admitBody): distinct Fig. 2(a)/(c) tasksets
+// across all utilization points, all five methods each.
 func BenchmarkServerAnalyze(b *testing.B) {
 	fig2aBody := func(b *testing.B, seed int64) []byte {
 		b.Helper()
@@ -656,6 +661,7 @@ func BenchmarkServerAnalyze(b *testing.B) {
 			return analyzeBody(b, testTaskset(b, 0), string(analysis.DPCPpEP))
 		}},
 		{"fig2a-cold", func(b *testing.B, i int) []byte { return fig2aBody(b, int64(i)) }},
+		{"fig2ac-cold", func(b *testing.B, i int) []byte { return admitBody(b, i) }},
 		{"fig2a-hit", func(b *testing.B, i int) []byte { return fig2aBody(b, 1) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -677,4 +683,27 @@ func BenchmarkServerAnalyze(b *testing.B) {
 			}
 		})
 	}
+}
+
+// admitBody returns request i of a stream shaped like the admission
+// workload: Fig. 2(a) and 2(c) tasksets alternate, utilization points
+// cycle, and every request asks for all five methods.
+func admitBody(t testing.TB, i int) []byte {
+	t.Helper()
+	scen, err := taskgen.Fig2Scenario([]string{"2a", "2c"}[i%2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := taskgen.UtilizationPoints(scen.M)
+	j := i / 2
+	ts, err := experiments.GenerateSample(taskgen.NewGenerator(scen),
+		experiments.SampleSeed(7, scen.Name(), j%len(pts), j/len(pts)), pts[j%len(pts)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(AnalyzeRequest{Taskset: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
