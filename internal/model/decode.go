@@ -13,7 +13,8 @@ import (
 // The subset is what EncodeTaskset and json.Marshal produce: exact
 // lowercase keys, no duplicate keys, escape-free printable-ASCII strings,
 // canonical int64 integers (no sign on zero, no leading zeros, no
-// fraction or exponent) and no null. Every document in the subset means
+// fraction or exponent), and null only where encoding/json decodes it
+// as nil: slice and map fields and the envelope's taskset pointer. Every document in the subset means
 // the same to encoding/json, so on it the Decoder returns exactly what
 // encoding/json would. On anything outside it the Decoder declines: it
 // stops, End reports false, and the caller decodes the same bytes with
@@ -95,12 +96,24 @@ func (d *Decoder) expect(c byte) bool {
 
 // End reports whether decoding succeeded and only whitespace follows the
 // document; false means the Decoder declined and every value it returned
-// is meaningless.
+// is meaningless. It tests the position, not peek's result, since peek's
+// end-of-input 0 is also a byte a body may contain.
 func (d *Decoder) End() bool {
-	if !d.bad && d.peek() != 0 {
+	if d.peek(); d.i < len(d.b) {
 		d.decline()
 	}
 	return !d.bad
+}
+
+// Null consumes a null literal if one is next and reports whether it did.
+// encoding/json decodes null into a slice, map or pointer as nil, which is
+// what such a field holds until its key is read (a repeated key declines),
+// so a caller may accept null there and leave the field unset.
+func (d *Decoder) Null() bool {
+	if d.bad || d.peek() != 'n' {
+		return false
+	}
+	return d.lit("null")
 }
 
 // Object consumes the opening brace of an object.
@@ -138,8 +151,9 @@ func (d *Decoder) Field(keys []string, seen *uint32) int {
 	return -1
 }
 
-// array consumes the opening bracket of an array.
-func (d *Decoder) array() bool { return d.expect('[') }
+// array consumes the opening bracket of an array. It reports false on a
+// null, which leaves the slice nil as encoding/json does.
+func (d *Decoder) array() bool { return !d.Null() && d.expect('[') }
 
 // elem reports whether another element follows, consuming the separator
 // before it; n is the number of elements already read. It returns false
@@ -401,7 +415,7 @@ func (d *Decoder) vertex(v *Vertex) {
 // requests decodes a request map. Keys are canonical decimal strings;
 // two keys naming the same resource decline.
 func (d *Decoder) requests() map[rt.ResourceID]int {
-	if !d.Object() {
+	if d.Null() || !d.Object() {
 		return nil
 	}
 	s := d.reqs[:0]

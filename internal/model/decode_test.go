@@ -19,23 +19,25 @@ func referenceTaskset(t *testing.T, data []byte) *Taskset {
 	return ts
 }
 
-// sampleTaskset is hashTaskSet with every list present, since a nil list
-// encodes as null, which the decoder declines.
-func sampleTaskset(t *testing.T) *Taskset {
-	return hashTaskSet(t, func(ts *Taskset) { ts.Tasks[1].Edges = []Edge{} })
-}
-
+// TestDecodeCanonicalMatchesReference decodes a model-built taskset whose
+// single-vertex task has nil Edges, which EncodeTaskset writes as null,
+// and the same taskset with every list present.
 func TestDecodeCanonicalMatchesReference(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeTaskset(&buf, sampleTaskset(t)); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := decodeCanonical(buf.Bytes())
-	if !ok {
-		t.Fatalf("EncodeTaskset output declined: %s", buf.Bytes())
-	}
-	if want := referenceTaskset(t, buf.Bytes()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoders disagree:\nfast: %+v\njson: %+v", got, want)
+	for _, ts := range []*Taskset{
+		hashTaskSet(t, nil),
+		hashTaskSet(t, func(ts *Taskset) { ts.Tasks[1].Edges = []Edge{} }),
+	} {
+		var buf bytes.Buffer
+		if err := EncodeTaskset(&buf, ts); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := decodeCanonical(buf.Bytes())
+		if !ok {
+			t.Fatalf("EncodeTaskset output declined: %s", buf.Bytes())
+		}
+		if want := referenceTaskset(t, buf.Bytes()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoders disagree:\nfast: %+v\njson: %+v", got, want)
+		}
 	}
 }
 
@@ -44,7 +46,7 @@ func TestDecodeCanonicalMatchesReference(t *testing.T) {
 // JSON value read — and finalize to the same content address.
 func TestDecodeTasksetFallbackKeepsLeniency(t *testing.T) {
 	var buf bytes.Buffer
-	if err := EncodeTaskset(&buf, sampleTaskset(t)); err != nil {
+	if err := EncodeTaskset(&buf, hashTaskSet(t, nil)); err != nil {
 		t.Fatal(err)
 	}
 	doc := strings.TrimSpace(buf.String())

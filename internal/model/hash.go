@@ -30,7 +30,7 @@ func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 // DecodeTaskset(EncodeTaskset(ts)).Hash() == ts.Hash().
 func (ts *Taskset) Hash() Hash {
 	bp := canonPool.Get().(*[]byte)
-	*bp = ts.AppendCanonical(slices.Grow((*bp)[:0], ts.canonicalSize()))
+	*bp = ts.AppendCanonical((*bp)[:0])
 	h := sha256.Sum256(*bp)
 	canonPool.Put(bp)
 	return h
@@ -39,17 +39,6 @@ func (ts *Taskset) Hash() Hash {
 // canonPool holds the scratch buffers Hash and Task.Finalize serialize
 // into; the buffers never outlive the call that borrowed them.
 var canonPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// canonicalSize bounds the length of AppendCanonical's output: the cached
-// task bodies plus at most four int64s and their separators per header.
-func (ts *Taskset) canonicalSize() int {
-	const header = 4 * (len("-9223372036854775808") + 1)
-	n := len("ts/v1|m=|nr=\n") + 2*len("-9223372036854775808")
-	for _, t := range ts.Tasks {
-		n += len("task|") + header + len(t.canon)
-	}
-	return n
-}
 
 // AppendCanonical appends the canonical serialization of the taskset to b
 // and returns the extended slice. The form is deterministic and normalized:

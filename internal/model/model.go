@@ -15,6 +15,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dpcpp/internal/rt"
@@ -221,26 +222,19 @@ func (t *Task) Finalize(numResources int) error {
 		}
 	}
 
-	// Heads and tails share one backing array, each capped at its count.
-	nh, nt := 0, 0
+	// Heads and tails share one allocation: heads fill the first n slots,
+	// tails the last n, and each is capped at its length.
+	ends := make([]rt.VertexID, 2*n)
+	heads, tails := ends[:0:n], ends[n:n]
 	for x := range t.Vertices {
 		if len(t.predOf(rt.VertexID(x))) == 0 {
-			nh++
+			heads = append(heads, rt.VertexID(x))
 		}
 		if len(t.succOf(rt.VertexID(x))) == 0 {
-			nt++
+			tails = append(tails, rt.VertexID(x))
 		}
 	}
-	ends := make([]rt.VertexID, nh+nt)
-	t.heads, t.tails = ends[:0:nh], ends[nh:nh]
-	for x := range t.Vertices {
-		if len(t.predOf(rt.VertexID(x))) == 0 {
-			t.heads = append(t.heads, rt.VertexID(x))
-		}
-		if len(t.succOf(rt.VertexID(x))) == 0 {
-			t.tails = append(t.tails, rt.VertexID(x))
-		}
-	}
+	t.heads, t.tails = slices.Clip(heads), slices.Clip(tails)
 
 	// Freeze the structural part of the canonical serialization now: the
 	// vertex/edge/CS body never changes after Finalize, so Taskset.Hash can

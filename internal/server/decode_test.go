@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"maps"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -42,10 +45,13 @@ func hostileAnalyzeBodies() map[string]string {
 		"duplicate request key":    edit(`{"0":1}`, `{"0":1,"0":2}`),
 		"aliased request key":      edit(`{"0":1}`, `{"0":1,"00":2}`),
 		"plus request key":         edit(`{"0":1}`, `{"+1":1}`),
-		"null taskset":             `{"taskset":null}`,
-		"null edges":               edit(`"edges":[]`, `"edges":null`),
 		"null vertex":              edit(`{"id":1,"wcet":50}`, `null`),
-		"null methods":             edit(`["DPCP-p-EP","LPP"]`, `null`),
+		"null task":                edit(`{"id":1,"period":2000`, `null,{"id":1,"period":2000`),
+		"null int":                 edit(`"wcet":100`, `"wcet":null`),
+		"null string":              edit(`"placement":"wfd"`, `"placement":null`),
+		"null bool":                edit(`"explain":true`, `"explain":null`),
+		"null envelope":            `null`,
+		"misspelled null":          edit(`"edges":[]`, `"edges":nul`),
 		"fraction":                 edit(`"wcet":100`, `"wcet":1.0`),
 		"exponent":                 edit(`"wcet":100`, `"wcet":1e3`),
 		"negative zero":            edit(`"wcet":100`, `"wcet":-0`),
@@ -59,6 +65,8 @@ func hostileAnalyzeBodies() map[string]string {
 		"trailing brace":           canonicalAnalyzeBody + `}`,
 		"trailing bracket":         canonicalAnalyzeBody + `]`,
 		"trailing document":        canonicalAnalyzeBody + `{}`,
+		"trailing NUL":             canonicalAnalyzeBody + "\x00",
+		"trailing NUL and garbage": canonicalAnalyzeBody + "\x00}]x",
 		"trailing comma":           edit(`"timeout_ms":100}`, `"timeout_ms":100,}`),
 		"truncated":                canonicalAnalyzeBody[:len(canonicalAnalyzeBody)/2],
 		"capitalized true":         edit(`"explain":true`, `"explain":True`),
@@ -73,6 +81,27 @@ func hostileAnalyzeBodies() map[string]string {
 		"byte order mark":          "\xef\xbb\xbf" + canonicalAnalyzeBody,
 		"non-json whitespace":      edit(`"path_cap":5`, "\"path_cap\":\v5"),
 		"map key out of int range": edit(`{"0":1}`, `{"9223372036854775808":1}`),
+	}
+}
+
+// nullAnalyzeBodies are edits of canonicalAnalyzeBody that put null where
+// encoding/json decodes it as nil (slice, map and pointer fields), which
+// the decoder accepts.
+func nullAnalyzeBodies() map[string]string {
+	edit := func(old, new string) string {
+		if !strings.Contains(canonicalAnalyzeBody, old) {
+			panic("null edit does not apply: " + old)
+		}
+		return strings.Replace(canonicalAnalyzeBody, old, new, 1)
+	}
+	return map[string]string{
+		"null taskset":  `{"taskset":null}`,
+		"null tasks":    `{"taskset":{"tasks":null,"num_resources":0,"num_procs":1}}`,
+		"null vertices": edit(`"vertices":[{"id":0,"wcet":-7,"requests":{}}]`, `"vertices":null`),
+		"null edges":    edit(`"edges":[]`, `"edges":null`),
+		"null cslen":    edit(`"cslen":[]`, `"cslen":null`),
+		"null requests": edit(`"requests":{}`, `"requests":null`),
+		"null methods":  edit(`["DPCP-p-EP","LPP"]`, `null`),
 	}
 }
 
@@ -119,9 +148,10 @@ func analyzeSeeds(t testing.TB) [][]byte {
 	for i := 0; i < 4; i++ {
 		seeds = append(seeds, admitBody(t, i))
 	}
-	hostile := hostileAnalyzeBodies()
-	for _, name := range slices.Sorted(maps.Keys(hostile)) {
-		seeds = append(seeds, []byte(hostile[name]))
+	for _, set := range []map[string]string{nullAnalyzeBodies(), hostileAnalyzeBodies()} {
+		for _, name := range slices.Sorted(maps.Keys(set)) {
+			seeds = append(seeds, []byte(set[name]))
+		}
 	}
 	return seeds
 }
@@ -157,6 +187,9 @@ func TestDecodeAnalyzeAcceptsCanonical(t *testing.T) {
 		[]byte(" \n" + canonicalAnalyzeBody + "\r\n\t")}
 	seeds := analyzeSeeds(t)
 	bodies = append(bodies, seeds[1], seeds[2]) // the schedd fixtures
+	for _, body := range nullAnalyzeBodies() {
+		bodies = append(bodies, []byte(body))
+	}
 	for i := 0; i < 4; i++ {
 		bodies = append(bodies, admitBody(t, i))
 	}
@@ -223,5 +256,43 @@ func TestDecodeAnalyzeAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(20, func() { decodeAnalyze(body) })
 	if got != float64(want) {
 		t.Fatalf("decodeAnalyze allocates %.0f times per fig2a body, want %d (what it returns)", got, want)
+	}
+}
+
+// TestReadBodyTracksBytesNotHeader: the Content-Length header is the
+// client's claim, so a header-only request declaring the full body cap
+// must not make readBody allocate that much up front, and a body longer
+// than the presize still arrives whole.
+func TestReadBodyTracksBytesNotHeader(t *testing.T) {
+	const limit = DefaultMaxBody
+	read := func(body []byte, declared int64) ([]byte, uint64) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body))
+		r.ContentLength = declared
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bp, err := readBody(r, limit)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bytes.Clone(*bp)
+		putBody(bp)
+		return got, after.TotalAlloc - before.TotalAlloc
+	}
+
+	short := []byte(canonicalAnalyzeBody)
+	got, alloc := read(short, limit)
+	if !bytes.Equal(got, short) {
+		t.Fatalf("short body read as %q", got)
+	}
+	if alloc > 1<<20 {
+		t.Fatalf("a %d-byte body declaring Content-Length %d allocated %d bytes", len(short), limit, alloc)
+	}
+
+	long := bytes.Repeat([]byte{' '}, 3*maxBodyPresize+17)
+	for _, declared := range []int64{int64(len(long)), -1} {
+		if got, _ := read(long, declared); !bytes.Equal(got, long) {
+			t.Fatalf("Content-Length %d: read %d of %d bytes", declared, len(got), len(long))
+		}
 	}
 }

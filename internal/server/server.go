@@ -479,7 +479,9 @@ func decodeAnalyze(body []byte) (*AnalyzeRequest, bool) {
 	for {
 		switch d.Field(analyzeKeys, &seen) {
 		case 0:
-			req.Taskset = d.Taskset()
+			if !d.Null() {
+				req.Taskset = d.Taskset()
+			}
 		case 1:
 			req.Methods = d.Strings()
 		case 2:
@@ -505,15 +507,19 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // body does not stay pinned by the pool.
 const maxPooledBody = 1 << 20
 
-// readBody reads the request body into a pooled buffer. With a
-// Content-Length (capped by limit) the buffer is sized once, with a spare
-// byte so the read that sees EOF needs no growth. Return the buffer with
-// putBody.
+// maxBodyPresize caps how much of a declared Content-Length readBody
+// allocates before the bytes arrive. The header is the client's word, so
+// past this the buffer grows only as data is read, as io.ReadAll's does.
+const maxBodyPresize = 64 << 10
+
+// readBody reads the request body into a pooled buffer. A Content-Length
+// up to maxBodyPresize sizes the buffer once, with a spare byte so the
+// read that sees EOF needs no growth. Return the buffer with putBody.
 func readBody(r *http.Request, limit int64) (*[]byte, error) {
 	bp := bodyPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	if n := r.ContentLength; n >= 0 {
-		b = slices.Grow(b, int(min(n, limit))+1)
+		b = slices.Grow(b, int(min(n, limit, maxBodyPresize))+1)
 	}
 	for {
 		if len(b) == cap(b) {

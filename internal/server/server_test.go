@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -474,6 +475,7 @@ func TestHostileRequests(t *testing.T) {
 		{"trailing garbage", "/v1/analyze", `{"taskset":` + valid + `}{"again":true}`, http.StatusBadRequest},
 		{"trailing brace", "/v1/analyze", `{"taskset":` + valid + `}}`, http.StatusBadRequest},
 		{"trailing bracket", "/v1/analyze", `{"taskset":` + valid + `}]`, http.StatusBadRequest},
+		{"trailing NUL", "/v1/analyze", `{"taskset":` + valid + "}\x00", http.StatusBadRequest},
 		{"batch trailing brace", "/v1/analyze/batch", `{"tasksets":[` + valid + `]}}`, http.StatusBadRequest},
 		{"unknown method", "/v1/analyze", `{"taskset":` + valid + `,"methods":["DPCP-q"]}`, http.StatusBadRequest},
 		{"bad placement", "/v1/analyze", `{"taskset":` + valid + `,"placement":"best"}`, http.StatusBadRequest},
@@ -625,13 +627,27 @@ func FuzzAnalyzeRequest(f *testing.F) {
 	})
 }
 
+// lateDeclineBody spells the last key of an admission body with an
+// escape, which encoding/json reads as the same key but the single-pass
+// decoder declines: the decoder walks the whole body before the fallback
+// decodes it again, the worst case of decline and fall back.
+func lateDeclineBody(t testing.TB, body []byte) []byte {
+	t.Helper()
+	i := bytes.LastIndex(body, []byte(`"num_procs"`))
+	if i < 0 {
+		t.Fatal("admission body without num_procs")
+	}
+	return slices.Concat(body[:i], []byte(`"num_proc\u0073"`), body[i+len(`"num_procs"`):])
+}
+
 // BenchmarkServerAnalyze measures the full request path, cold (cache
 // miss, one analysis per request) vs hit (content-addressed cache). The
 // tiny taskset isolates the transport floor; the fig2a family uses the
 // paper's Sec. VII-A synthesis at util 8, where the cache turns
 // millisecond analyses into microsecond lookups. fig2ac-cold sends the
 // admission workload's mix (admitBody): distinct Fig. 2(a)/(c) tasksets
-// across all utilization points, all five methods each.
+// across all utilization points, all five methods each;
+// fig2ac-late-decline sends the same mix with a declining last key.
 func BenchmarkServerAnalyze(b *testing.B) {
 	fig2aBody := func(b *testing.B, seed int64) []byte {
 		b.Helper()
@@ -662,6 +678,7 @@ func BenchmarkServerAnalyze(b *testing.B) {
 		}},
 		{"fig2a-cold", func(b *testing.B, i int) []byte { return fig2aBody(b, int64(i)) }},
 		{"fig2ac-cold", func(b *testing.B, i int) []byte { return admitBody(b, i) }},
+		{"fig2ac-late-decline", func(b *testing.B, i int) []byte { return lateDeclineBody(b, admitBody(b, i)) }},
 		{"fig2a-hit", func(b *testing.B, i int) []byte { return fig2aBody(b, 1) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
