@@ -65,6 +65,9 @@ func NewDPCPp(ts *model.Taskset, pathCap int, en bool) *DPCPp {
 
 func newDPCPp(sc *Scratch, ts *model.Taskset, pathCap int, en bool) *DPCPp {
 	sc.analyzerReset()
+	for j, t := range ts.Tasks {
+		sc.taskPos[t.ID] = j
+	}
 	return &DPCPp{ts: ts, pathCap: pathCap, en: en, sc: sc,
 		byPrio: ts.ByPriorityDesc()}
 }
@@ -202,20 +205,6 @@ type procCtx struct {
 	other []etaTerm
 }
 
-type etaTerm struct {
-	period rt.Time
-	resp   rt.Time
-	work   rt.Time
-}
-
-func etaSum(terms []etaTerm, window rt.Time) rt.Time {
-	var total rt.Time
-	for _, e := range terms {
-		total = rt.SatAdd(total, rt.SatMul(rta.Eta(window, e.resp, e.period), e.work))
-	}
-	return total
-}
-
 // taskCtx bundles everything Theorem 1 needs for one task. It lives inside
 // the analyzer's Scratch and every slice below is arena-backed: a taskCtx
 // is valid only until the next buildCtx call on the same analyzer.
@@ -245,10 +234,17 @@ type taskCtx struct {
 	// sharing a base (the common case after signature collapse) reuse it.
 	// rt.Infinity marks a diverged recurrence.
 	epsMemo *epsTable
-	// epsScratch holds the per-processor epsilon values of the view under
-	// evaluation in the single-view path (pathWCRT: Explain and reference
-	// implementations); the batched path keeps its own flat array.
+	// epsScratch and coScratch hold the per-processor epsilon values and
+	// off-path co-located CS work (offCoWork) of the view under evaluation
+	// in the single-view path (pathWCRT: Explain and reference
+	// implementations); the batched path keeps its own flat arrays.
 	epsScratch []rt.Time
+	coScratch  []rt.Time
+
+	// kern fuses the r-dependent sums of the batched Theorem 1 step
+	// (taskWCRT): it is built over the procs' zeta terms, cluster and
+	// hpShared.
+	kern etaKernel
 }
 
 // epsKey identifies one Lemma 2 fixed-point computation within a task's
@@ -290,8 +286,15 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	ctx.localRes, ctx.localCS = localRes, localCS
 
 	// nOther bounds every eta-term list: each task other than t contributes
-	// at most one term per list.
+	// at most one term per list. Terms name their task by position in
+	// ts.Tasks, which also indexes resps and the kernel's eta vector.
 	nOther := len(ts.Tasks)
+	resps := s.times.alloc(nOther)
+	for j, other := range ts.Tasks {
+		resps[j] = knownOrDeadline(wcrts, other)
+	}
+	kern := &ctx.kern
+	kern.reset(s.times.allocZero(nOther), s.srcs.alloc(nOther), t.Deadline)
 	for k := 0; k < ts.NumProcs; k++ {
 		proc := rt.ProcID(k)
 		res := p.ResourcesOn(proc)
@@ -304,7 +307,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 		}
 		pc.hp = s.terms.alloc(nOther)[:0]
 		pc.other = s.terms.alloc(nOther)[:0]
-		for _, other := range ts.Tasks {
+		for j, other := range ts.Tasks {
 			if other.ID == t.ID {
 				continue
 			}
@@ -315,8 +318,9 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 			if work == 0 {
 				continue
 			}
-			term := etaTerm{period: other.Period, resp: knownOrDeadline(wcrts, other), work: work}
+			term := etaTerm{period: other.Period, resp: resps[j], work: work, pos: j}
 			pc.other = append(pc.other, term)
+			kern.add(term)
 			if other.Priority.Higher(t.Priority) {
 				pc.hp = append(pc.hp, term)
 			} else {
@@ -343,13 +347,12 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 				if id == t.ID {
 					continue
 				}
-				other := ts.Task(id)
+				j := s.taskPos[id]
+				other := ts.Tasks[j]
 				if other.Priority.Higher(t.Priority) {
-					hpShared = append(hpShared, etaTerm{
-						period: other.Period,
-						resp:   knownOrDeadline(wcrts, other),
-						work:   other.WCET(),
-					})
+					term := etaTerm{period: other.Period, resp: resps[j], work: other.WCET(), pos: j}
+					hpShared = append(hpShared, term)
+					kern.add(term)
 				}
 			}
 		}
@@ -365,6 +368,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	}
 	ctx.epsMemo = &s.epsMemo
 	ctx.epsScratch = s.times.alloc(len(ctx.procs))
+	ctx.coScratch = s.times.alloc(len(ctx.procs))
 
 	ctx.clusterRes = p.AppendClusterResources(s.resIDs.alloc(nr)[:0], t.ID)
 	if len(ctx.clusterRes) > 0 {
@@ -373,7 +377,7 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 			ctx.clusterCS[j] = t.CS(u)
 		}
 		cluster := s.terms.alloc(nOther)[:0]
-		for _, other := range ts.Tasks {
+		for j, other := range ts.Tasks {
 			if other.ID == t.ID {
 				continue
 			}
@@ -382,12 +386,20 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 				work = rt.SatAdd(work, other.CSWork(u))
 			}
 			if work > 0 {
-				cluster = append(cluster,
-					etaTerm{period: other.Period, resp: knownOrDeadline(wcrts, other), work: work})
+				term := etaTerm{period: other.Period, resp: resps[j], work: work, pos: j}
+				cluster = append(cluster, term)
+				kern.add(term)
 			}
 		}
 		ctx.cluster = cluster
 	}
+
+	kern.seal()
+	for i := range ctx.procs {
+		kern.admit(ctx.procs[i].other)
+	}
+	kern.admit(ctx.cluster)
+	kern.admit(ctx.hpShared)
 	return ctx
 }
 
@@ -398,8 +410,11 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 // (proc, base) memo rows stay hot across the whole view batch — and the
 // response-time fixed points of all views then iterate in lockstep via
 // rta.FixPointBatch, streaming the shared eta tables once per wave instead
-// of once per view. Results are bit-identical to evaluating pathWCRT per
-// view (the epequiv suite pins this against the per-path reference).
+// of once per view. Each step evaluates every other task's eta_j(r) once,
+// division-free, through the task's etaKernel and forms the zeta, cluster
+// and light-task sums as dot products over it. Results are bit-identical
+// to evaluating pathWCRT per view (the epequiv suite pins this against the
+// per-path reference; FuzzEtaKernel pins the kernel against etaSum).
 //
 //schedlint:hotpath
 func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
@@ -422,8 +437,12 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 
 	for vi := range views {
 		v := &views[vi]
+		// eps holds each view's offCoWork until the epsilon pass below
+		// replaces it, entry by entry, with the epsilon it feeds.
+		co := eps[vi*np : (vi+1)*np]
+		offCoWork(ctx, v, co)
 		// Lemma 4: intra-task blocking (constant in r).
-		b := a.intraBlocking(ctx, v)
+		b := a.intraBlocking(ctx, v, co)
 		// Lemma 5: intra-task interference (constant in r).
 		iIntra := v.offNonCrit
 		for j, q := range ctx.localRes {
@@ -452,7 +471,7 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 	for pi := range ctx.procs {
 		pc := &ctx.procs[pi]
 		for vi := range views {
-			eps[vi*np+pi] = a.epsilon(ctx, pc, &views[vi])
+			eps[vi*np+pi] = a.epsilon(ctx, pc, &views[vi], eps[vi*np+pi])
 		}
 	}
 
@@ -461,24 +480,24 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 	ok := rta.FixPointBatch(xs, t.Deadline, done, func(vi int, r rt.Time) rt.Time {
 		v := &views[vi]
 		ve := eps[vi*np : (vi+1)*np]
-		// Lemma 3: B_i <= sum_k min(eps_k, zeta_k(r)).
+		kern := &ctx.kern
+		fused := kern.fill(r)
+		// Lemma 3: B_i <= sum_k min(eps_k, zeta_k(r)). A processor the view
+		// sends no request to has eps_k = 0 and adds nothing.
 		var blocking rt.Time
 		for i := range ctx.procs {
-			zeta := etaSum(ctx.procs[i].other, r)
-			if ve[i] < zeta {
-				blocking = rt.SatAdd(blocking, ve[i])
-			} else {
-				blocking = rt.SatAdd(blocking, zeta)
+			if ve[i] != 0 {
+				blocking = rt.SatAdd(blocking, min(ve[i], kern.sum(ctx.procs[i].other, r, fused)))
 			}
 		}
 		// Lemma 6: I_A.
-		ia := rt.SatAdd(etaSum(ctx.cluster, r), iaStatics[vi])
+		ia := rt.SatAdd(kern.sum(ctx.cluster, r, fused), iaStatics[vi])
 		sum := rt.SatAdd(v.length, blocking)
 		sum = rt.SatAdd(sum, bs[vi])
 		sum = rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntras[vi], ia), ctx.mi))
 		// Sec. VI: higher-priority light tasks on the same processor
 		// interfere with their full WCET (partitioned fixed-priority).
-		return rt.SatAdd(sum, etaSum(ctx.hpShared, r))
+		return rt.SatAdd(sum, kern.sum(ctx.hpShared, r, fused))
 	})
 	s.stageEnd(StageFixPoint, fixStart)
 	if !ok {
@@ -510,9 +529,11 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 // per-path reference implementation of the equivalence suite.
 func (a *DPCPp) pathWCRT(ctx *taskCtx, v *pathView) rt.Time {
 	t := ctx.task
+	co := ctx.coScratch
+	offCoWork(ctx, v, co)
 
 	// Lemma 4: intra-task blocking (constant in r).
-	b := a.intraBlocking(ctx, v)
+	b := a.intraBlocking(ctx, v, co)
 
 	// Lemma 5: intra-task interference (constant in r).
 	iIntra := v.offNonCrit
@@ -523,7 +544,7 @@ func (a *DPCPp) pathWCRT(ctx *taskCtx, v *pathView) rt.Time {
 	// Lemma 3 epsilon terms (constant in r; computed via Lemma 2's W).
 	eps := ctx.epsScratch
 	for i := range ctx.procs {
-		eps[i] = a.epsilon(ctx, &ctx.procs[i], v)
+		eps[i] = a.epsilon(ctx, &ctx.procs[i], v, co[i])
 	}
 
 	// Static off-path agent work on the own cluster (Lemma 6, Eq. 9).
@@ -561,8 +582,22 @@ func (a *DPCPp) pathWCRT(ctx *taskCtx, v *pathView) rt.Time {
 	return r
 }
 
-// intraBlocking evaluates Lemma 4.
-func (a *DPCPp) intraBlocking(ctx *taskCtx, v *pathView) rt.Time {
+// offCoWork fills co[i] with the view's off-path intra-task CS work on the
+// resources of processor ctx.procs[i]: Eq. (7)'s summand for a processor
+// the path requests from, and the middle term of Lemma 2's base (Eq. 3).
+func offCoWork(ctx *taskCtx, v *pathView, co []rt.Time) {
+	for i := range ctx.procs {
+		pc := &ctx.procs[i]
+		var w rt.Time
+		for j, u := range pc.res {
+			w = rt.SatAdd(w, rt.SatMul(v.offPath[u], pc.resCS[j]))
+		}
+		co[i] = w
+	}
+}
+
+// intraBlocking evaluates Lemma 4, given the view's offCoWork.
+func (a *DPCPp) intraBlocking(ctx *taskCtx, v *pathView, co []rt.Time) rt.Time {
 	var b rt.Time
 	// Eq. (6): local resources the path itself requests.
 	for j, q := range ctx.localRes {
@@ -580,11 +615,8 @@ func (a *DPCPp) intraBlocking(ctx *taskCtx, v *pathView) rt.Time {
 				break
 			}
 		}
-		if !sigma {
-			continue
-		}
-		for j, u := range pc.res {
-			b = rt.SatAdd(b, rt.SatMul(v.offPath[u], pc.resCS[j]))
+		if sigma {
+			b = rt.SatAdd(b, co[i])
 		}
 	}
 	return b
@@ -599,16 +631,10 @@ func (a *DPCPp) intraBlocking(ctx *taskCtx, v *pathView) rt.Time {
 //
 // The W fixed point depends on the view only through its base value, so
 // results are memoized in ctx.epsMemo keyed by (processor, base) and shared
-// across the per-view loop; rt.Infinity records divergence.
-func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
+// across the per-view loop; rt.Infinity records divergence. offCo is the
+// view's offCoWork on this processor, shared by every W on it.
+func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView, offCo rt.Time) rt.Time {
 	t := ctx.task
-
-	// Off-path intra-task CS work on this processor's resources (the
-	// middle term of Eq. 3), shared by every W on this processor.
-	var offCoWork rt.Time
-	for j, u := range pc.res {
-		offCoWork = rt.SatAdd(offCoWork, rt.SatMul(v.offPath[u], pc.resCS[j]))
-	}
 
 	var eps rt.Time
 	for j, q := range pc.res {
@@ -616,7 +642,7 @@ func (a *DPCPp) epsilon(ctx *taskCtx, pc *procCtx, v *pathView) rt.Time {
 		if n == 0 {
 			continue
 		}
-		base := rt.SatAdd(pc.resCS[j], rt.SatAdd(offCoWork, pc.beta))
+		base := rt.SatAdd(pc.resCS[j], rt.SatAdd(offCo, pc.beta))
 		key := epsKey{proc: pc.proc, base: base}
 		perReq, hit := ctx.epsMemo.get(key)
 		if !hit {

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dpcpp/internal/model"
@@ -97,7 +99,32 @@ func equivalenceCorpus(t *testing.T) []*model.Taskset {
 	if len(corpus) < 10 {
 		t.Fatalf("corpus too small: %d tasksets", len(corpus))
 	}
-	return corpus
+	// Task IDs need not be dense or in slice order; an engine indexing
+	// per-task state by ID instead of position fails on this member.
+	return append(corpus, sparseIDs(t, corpus[0]))
+}
+
+// sparseIDs returns a copy of ts whose task IDs are sparse (3 + 7*id, all
+// beyond the task count) and whose tasks are listed in reverse order.
+// Priorities are explicit in the copy, so the analyses see the same tasks.
+func sparseIDs(t *testing.T, ts *model.Taskset) *model.Taskset {
+	t.Helper()
+	raw, err := json.Marshal(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out model.Taskset
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	slices.Reverse(out.Tasks)
+	for _, task := range out.Tasks {
+		task.ID = 3 + 7*task.ID
+	}
+	if err := out.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return &out
 }
 
 // TestCollapsedEPMatchesNaiveReference is the regression gate for the
@@ -135,12 +162,13 @@ func TestCollapsedEPMatchesNaiveReference(t *testing.T) {
 // TestCollapsedEPMatchesNaiveOnLightSets covers the Sec. VI shared-task
 // special view and the mixed partitioning path.
 func TestCollapsedEPMatchesNaiveOnLightSets(t *testing.T) {
-	ts := lightSet(t)
-	fast := partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD)
-	slow := partition.AlgorithmMixed(ts, &naiveEP{NewDPCPp(ts, DefaultPathCap, false)}, partition.WFD)
-	if fast.Schedulable != slow.Schedulable || !reflect.DeepEqual(fast.WCRT, slow.WCRT) {
-		t.Errorf("light sets diverge: fast=%v %v ref=%v %v",
-			fast.Schedulable, fast.WCRT, slow.Schedulable, slow.WCRT)
+	for _, ts := range []*model.Taskset{lightSet(t), sparseIDs(t, lightSet(t))} {
+		fast := partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD)
+		slow := partition.AlgorithmMixed(ts, &naiveEP{NewDPCPp(ts, DefaultPathCap, false)}, partition.WFD)
+		if fast.Schedulable != slow.Schedulable || !reflect.DeepEqual(fast.WCRT, slow.WCRT) {
+			t.Errorf("light sets diverge: fast=%v %v ref=%v %v",
+				fast.Schedulable, fast.WCRT, slow.Schedulable, slow.WCRT)
+		}
 	}
 }
 

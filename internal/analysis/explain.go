@@ -129,13 +129,15 @@ func (a *DPCPp) explainView(ctx *taskCtx, v *pathView) Breakdown {
 		at = t.Deadline // evaluate the components at the deadline
 	}
 
-	bd.IntraTaskBlocking = a.intraBlocking(ctx, v)
+	co := ctx.coScratch
+	offCoWork(ctx, v, co)
+	bd.IntraTaskBlocking = a.intraBlocking(ctx, v, co)
 	bd.IntraInterference = v.offNonCrit
 	for _, q := range ctx.localRes {
 		bd.IntraInterference = rt.SatAdd(bd.IntraInterference, rt.SatMul(v.offPath[q], t.CS(q)))
 	}
 	for i := range ctx.procs {
-		eps := a.epsilon(ctx, &ctx.procs[i], v)
+		eps := a.epsilon(ctx, &ctx.procs[i], v, co[i])
 		zeta := etaSum(ctx.procs[i].other, at)
 		if eps < zeta {
 			bd.InterTaskBlocking = rt.SatAdd(bd.InterTaskBlocking, eps)

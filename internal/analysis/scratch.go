@@ -124,9 +124,12 @@ type Scratch struct {
 	// rounds of the partitioning loop: views depend only on the (immutable,
 	// finalized) task, never on the candidate partition.
 	viewCache map[rt.TaskID]cachedViews
-	vs        model.ViewScratch
-	pviews    arena[pathView]
-	flat      arena[int64] // request-vector backing of cached views
+	// taskPos maps each task ID to its position in ts.Tasks: task IDs need
+	// not be dense, and eta terms name their task by position.
+	taskPos map[rt.TaskID]int
+	vs      model.ViewScratch
+	pviews  arena[pathView]
+	flat    arena[int64] // request-vector backing of cached views
 
 	// WCRTs-lifetime state: the response-time map handed out by WCRTs,
 	// valid until the next WCRTs call (internal/partition copies it into
@@ -136,6 +139,7 @@ type Scratch struct {
 	// Per-task state, reset by buildCtx.
 	ctx        taskCtx
 	terms      arena[etaTerm]
+	srcs       arena[etaSrc]
 	times      arena[rt.Time]
 	resIDs     arena[rt.ResourceID]
 	i64s       arena[int64]
@@ -182,6 +186,7 @@ func (s *Scratch) stageEnd(st Stage, start time.Time) {
 func NewScratch() *Scratch {
 	return &Scratch{
 		viewCache: make(map[rt.TaskID]cachedViews),
+		taskPos:   make(map[rt.TaskID]int),
 		wcrts:     make(map[rt.TaskID]rt.Time),
 	}
 }
@@ -193,6 +198,7 @@ func NewScratch() *Scratch {
 //schedlint:hotpath
 func (s *Scratch) analyzerReset() {
 	clear(s.viewCache)
+	clear(s.taskPos)
 	s.pviews.reset()
 	s.flat.reset()
 }
@@ -202,6 +208,7 @@ func (s *Scratch) analyzerReset() {
 //schedlint:hotpath
 func (s *Scratch) taskReset() {
 	s.terms.reset()
+	s.srcs.reset()
 	s.times.reset()
 	s.resIDs.reset()
 	s.i64s.reset()

@@ -94,7 +94,10 @@ type Priority int
 // Higher reports whether p outranks q.
 func (p Priority) Higher(q Priority) bool { return p > q }
 
-// TaskID identifies a task within a taskset (dense, 0-based).
+// TaskID identifies a task within a taskset. IDs are unique but need not be
+// dense, 0-based or in the order of Taskset.Tasks (Taskset.Finalize rejects
+// only duplicates), so slices of per-task state are indexed by position in
+// Taskset.Tasks, never by ID.
 type TaskID int
 
 // VertexID identifies a vertex within its task's DAG (dense, 0-based).
