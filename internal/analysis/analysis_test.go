@@ -9,6 +9,7 @@ import (
 	"dpcpp/internal/model"
 	"dpcpp/internal/partition"
 	"dpcpp/internal/rt"
+	"dpcpp/internal/sim"
 	"dpcpp/internal/taskgen"
 )
 
@@ -69,6 +70,81 @@ func TestDPCPpENMatchesEPOnSingleVertexTasks(t *testing.T) {
 		if ep.WCRT[id] != en.WCRT[id] {
 			t.Errorf("task %d: EP=%s EN=%s", id,
 				rt.FormatTime(ep.WCRT[id]), rt.FormatTime(en.WCRT[id]))
+		}
+	}
+}
+
+// lightSet builds three light tasks (C <= D) on m processors:
+//
+//	C2 (prio 3): C=5us,  T=D=50us, no resources.
+//	A  (prio 2): C=10us, T=D=100us, one request to l0 (CS 2us).
+//	B  (prio 1): C=20us, T=D=200us, one request to l0 (CS 3us).
+//
+// Light tasks are analyzed as federated tasks on one processor of their
+// own, so the set needs m >= 3.
+func lightSet(t *testing.T, m int) *model.Taskset {
+	t.Helper()
+	ts := model.NewTaskset(m, 1)
+	a := model.NewTask(0, 100*rt.Microsecond, 100*rt.Microsecond)
+	va := a.AddVertex(10 * rt.Microsecond)
+	a.AddRequest(va, 0, 1, 2*rt.Microsecond)
+	ts.Add(a)
+	b := model.NewTask(1, 200*rt.Microsecond, 200*rt.Microsecond)
+	vb := b.AddVertex(20 * rt.Microsecond)
+	b.AddRequest(vb, 0, 1, 3*rt.Microsecond)
+	ts.Add(b)
+	c2 := model.NewTask(2, 50*rt.Microsecond, 50*rt.Microsecond)
+	c2.AddVertex(5 * rt.Microsecond)
+	ts.Add(c2)
+	if err := ts.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
+// TestLightTasksOwnOneProcessor pins the path light tasks take: each gets
+// one processor of its own, so two processors cannot host three lights,
+// three can, and the simulator confirms the bounds on the result.
+func TestLightTasksOwnOneProcessor(t *testing.T) {
+	for _, m := range []Method{DPCPpEP, DPCPpEN} {
+		res := Test(m, lightSet(t, 2), Options{})
+		if want := "not enough processors for initial assignment of task 2"; res.Schedulable || res.Reason != want {
+			t.Errorf("%s m=2: schedulable=%v reason %q, want %q", m, res.Schedulable, res.Reason, want)
+		}
+
+		ts := lightSet(t, 3)
+		res = Test(m, ts, Options{})
+		if !res.Schedulable {
+			t.Fatalf("%s m=3: unschedulable: %s", m, res.Reason)
+		}
+		for _, task := range ts.Tasks {
+			if n := res.Partition.NumProcs(task.ID); n != 1 {
+				t.Errorf("%s m=3: task %d owns %d processors, want 1", m, task.ID, n)
+			}
+		}
+
+		s, err := sim.New(ts, res.Partition, sim.Config{Horizon: 400 * rt.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		met, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := s.Violations(); len(v) > 0 {
+			t.Errorf("%s: simulator invariant violations: %v", m, v)
+		}
+		if met.DeadlineMisses != 0 {
+			t.Errorf("%s: %d deadline misses", m, met.DeadlineMisses)
+		}
+		if len(met.MaxResponse) != len(ts.Tasks) {
+			t.Errorf("%s: simulated %d tasks, want %d", m, len(met.MaxResponse), len(ts.Tasks))
+		}
+		for id, r := range met.MaxResponse {
+			if r > res.WCRT[id] {
+				t.Errorf("%s: task %d simulated response %s exceeds WCRT %s",
+					m, id, rt.FormatTime(r), rt.FormatTime(res.WCRT[id]))
+			}
 		}
 	}
 }

@@ -166,11 +166,11 @@ func (d *Delta) Apply(sc *Scratch, p model.Patch) (model.Hash, partition.Result,
 //   - Whole task analyses are skipped only in rounds whose partition
 //     equals the retained final partition, only for structure-only patches
 //     (WCET / edge edits), and only for tasks none of whose recurrence
-//     inputs changed: the task itself is untouched, no co-located task was
-//     touched, and no task with a changed response time contributes
-//     critical-section work anywhere (every lower-priority task reads every
-//     resource-hosting processor's zeta term, so one changed global
-//     contributor invalidates all lower-priority skips).
+//     inputs changed: the task itself is untouched and no task with a
+//     changed response time contributes critical-section work anywhere
+//     (every lower-priority task reads every resource-hosting processor's
+//     zeta term, so one changed global contributor invalidates all
+//     lower-priority skips).
 //   - Epsilon memo rows are re-seeded per processor unless the dependency
 //     map names a contributor whose response time changed this round.
 //   - Fixed-point iterates are warm-started from retained per-view fixed
@@ -274,7 +274,6 @@ func (d *Delta) ApplyTo(sc *Scratch, patched *model.Taskset, pd *model.PatchDelt
 			}
 		}
 	}
-	da.wSet = make(map[rt.TaskID]bool)
 	da.staleProc = make(map[rt.ProcID]bool)
 
 	res := partition.Algorithm1(patched, da, d.placement)
@@ -310,11 +309,10 @@ type deltaAnalyzer struct {
 	hasGlobalCS map[rt.TaskID]bool
 	revDeps     map[rt.TaskID][]rt.ProcID
 
-	// Per-pass working state (reset each WCRTs call): wSet holds the tasks
-	// whose response time this pass differs from the retained one, wGlobal
-	// latches whether any of them carries global critical-section work, and
-	// staleProc marks processors whose retained epsilon rows are invalid.
-	wSet      map[rt.TaskID]bool
+	// Per-pass working state (reset each WCRTs call): wGlobal latches
+	// whether any task whose response time this pass differs from the
+	// retained one carries global critical-section work, and staleProc
+	// marks processors whose retained epsilon rows are invalid.
 	wGlobal   bool
 	staleProc map[rt.ProcID]bool
 
@@ -341,7 +339,6 @@ func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]
 	sc := a.sc
 	round := sc.stageStart()
 	a.cap.reset()
-	clear(da.wSet)
 	clear(da.staleProc)
 	da.wGlobal = false
 	wcrts := sc.wcrts
@@ -350,8 +347,7 @@ func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]
 		id := t.ID
 		baseR, inBase := da.base.wcrt[id]
 		if da.structureOnly && inBase &&
-			da.pd.Changed[id] == 0 && !da.wGlobal &&
-			!da.coLocatedTouched(p, t) && !da.coLocatedW(p, t) {
+			da.pd.Changed[id] == 0 && !da.wGlobal {
 			// Every input of this task's recurrence equals the base final
 			// round's: replaying it is the identity, so the retained value
 			// is the value a full analysis would compute.
@@ -384,7 +380,6 @@ func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]
 		wcrts[id] = r
 		da.stats.Recomputed++
 		if !inBase || r != baseR {
-			da.wSet[id] = true
 			if da.hasGlobalCS[id] {
 				da.wGlobal = true
 			}
@@ -395,45 +390,6 @@ func (da *deltaAnalyzer) wcrtsIncremental(p *partition.Partition) map[rt.TaskID]
 	}
 	sc.stageEnd(StageRound, round)
 	return wcrts
-}
-
-// coLocatedTouched reports whether a patched higher-priority task shares a
-// processor with t. Only higher-priority co-located tasks matter: their
-// full WCET enters t's hpShared term. A lower-priority co-located task
-// reaches t's bound exclusively through critical-section-derived terms —
-// beta (CS lengths and ceilings), zeta and cluster terms (period, deadline
-// and CS work; knownOrDeadline folds a not-yet-analyzed task in through its
-// deadline, never its response time) — none of which a structure-only
-// (WCET / edge) patch can change.
-func (da *deltaAnalyzer) coLocatedTouched(p *partition.Partition, t *model.Task) bool {
-	for _, k := range p.Procs(t.ID) {
-		for _, other := range p.SharedOn(k) {
-			if other != t.ID && da.pd.Changed[other] != 0 &&
-				da.a.ts.Task(other).Priority.Higher(t.Priority) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// coLocatedW reports whether a higher-priority task whose response time
-// changed this pass shares a processor with t (its response time enters t's
-// hpShared eta term). Lower-priority members of W are invisible to t for
-// the same reason as in coLocatedTouched.
-func (da *deltaAnalyzer) coLocatedW(p *partition.Partition, t *model.Task) bool {
-	if len(da.wSet) == 0 {
-		return false
-	}
-	for _, k := range p.Procs(t.ID) {
-		for _, other := range p.SharedOn(k) {
-			if other != t.ID && da.wSet[other] &&
-				da.a.ts.Task(other).Priority.Higher(t.Priority) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // validRows returns the retained epsilon rows of one task that are still

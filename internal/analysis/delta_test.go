@@ -220,9 +220,11 @@ func TestDeltaNoStateForUnschedulable(t *testing.T) {
 		t.Fatal("delta state retained for unschedulable result")
 	}
 }
-// incremental path and a from-scratch analysis, asserting bit-identical
-// results at every step. Across bases, methods and chains it performs well
-// over 1000 patch applications.
+
+// TestDeltaDifferential drives random patch chains over adversarial bases
+// through both the incremental path and a from-scratch analysis, asserting
+// bit-identical results at every step. Across bases, methods and chains it
+// performs well over 1000 patch applications.
 func TestDeltaDifferential(t *testing.T) {
 	gen := taskgen.NewAdversarial()
 	sc := NewScratch()

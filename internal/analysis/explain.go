@@ -25,9 +25,6 @@ type Breakdown struct {
 	IntraInterference rt.Time
 	// AgentInterference is I^A_i (Lemma 6), before the 1/m_i division.
 	AgentInterference rt.Time
-	// SharedPreemption is the Sec. VI co-located higher-priority light
-	// task interference (zero for heavy tasks).
-	SharedPreemption rt.Time
 	// Procs is m_i.
 	Procs int64
 	// Total is the resulting bound (Infinity when unschedulable).
@@ -54,9 +51,6 @@ func (b Breakdown) String() string {
 	fmt.Fprintf(&sb, "  intra-task b      %12s\n", rt.FormatTime(b.IntraTaskBlocking))
 	fmt.Fprintf(&sb, "  I_intra / m_i     %12s\n", rt.FormatTime(rt.CeilDiv(b.IntraInterference, maxI64(b.Procs, 1))))
 	fmt.Fprintf(&sb, "  I_agent / m_i     %12s\n", rt.FormatTime(rt.CeilDiv(b.AgentInterference, maxI64(b.Procs, 1))))
-	if b.SharedPreemption > 0 {
-		fmt.Fprintf(&sb, "  hp-shared preempt %12s\n", rt.FormatTime(b.SharedPreemption))
-	}
 	fmt.Fprintf(&sb, "  total R           %12s\n", rt.FormatTime(b.Total))
 	return sb.String()
 }
@@ -76,7 +70,7 @@ func (a *DPCPp) Explain(p *partition.Partition) []Breakdown {
 	for _, t := range a.ts.ByPriorityDesc() {
 		ctx := a.buildCtx(p, t, wcrts)
 		fallbackBefore := a.Fallbacks
-		views := a.viewsFor(ctx)
+		views := a.pathViews(t)
 
 		worst := Breakdown{TaskID: t.ID, Procs: ctx.mi, PathsConsidered: len(views)}
 		for i := range views {
@@ -94,25 +88,6 @@ func (a *DPCPp) Explain(p *partition.Partition) []Breakdown {
 		out = append(out, worst)
 	}
 	return out
-}
-
-// viewsFor mirrors taskWCRT's view construction. The shared-task (Sec. VI)
-// view is rebuilt per round from per-task scratch: like the taskCtx it is
-// valid only until the next buildCtx call on this analyzer.
-func (a *DPCPp) viewsFor(ctx *taskCtx) []pathView {
-	t := ctx.task
-	if !ctx.shared {
-		return a.pathViews(t)
-	}
-	s := a.sc
-	nr := a.ts.NumResources
-	on := s.i64s.alloc(nr)
-	off := s.i64s.allocZero(nr)
-	for q := 0; q < nr; q++ {
-		on[q] = t.NumRequests(rt.ResourceID(q))
-	}
-	s.sharedView[0] = pathView{length: t.WCET(), onPath: on, offPath: off}
-	return s.sharedView[:1]
 }
 
 // explainView computes the fixed point for one view and re-evaluates each
@@ -150,7 +125,6 @@ func (a *DPCPp) explainView(ctx *taskCtx, v *pathView) Breakdown {
 		iaStatic = rt.SatAdd(iaStatic, rt.SatMul(v.offPath[q], t.CS(q)))
 	}
 	bd.AgentInterference = rt.SatAdd(etaSum(ctx.cluster, at), iaStatic)
-	bd.SharedPreemption = etaSum(ctx.hpShared, at)
 	return bd
 }
 

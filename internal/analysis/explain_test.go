@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dpcpp/internal/partition"
 	"dpcpp/internal/rt"
 )
 
@@ -69,25 +68,6 @@ func TestExplainStringRendering(t *testing.T) {
 			if !strings.Contains(s, want) {
 				t.Errorf("breakdown string missing %q:\n%s", want, s)
 			}
-		}
-	}
-}
-
-func TestExplainSharedTask(t *testing.T) {
-	ts := lightSet(t)
-	res := partition.AlgorithmMixed(ts, NewDPCPp(ts, DefaultPathCap, false), partition.WFD)
-	if !res.Schedulable {
-		t.Fatalf("unschedulable: %s", res.Reason)
-	}
-	a := NewDPCPp(ts, DefaultPathCap, false)
-	bds := a.Explain(res.Partition)
-	for _, bd := range bds {
-		if bd.Total != res.WCRT[bd.TaskID] {
-			t.Errorf("task %d: explain total %s != WCRT %s",
-				bd.TaskID, rt.FormatTime(bd.Total), rt.FormatTime(res.WCRT[bd.TaskID]))
-		}
-		if bd.TaskID == 0 && bd.SharedPreemption == 0 {
-			t.Error("task A shares with higher-priority C2 but SharedPreemption = 0")
 		}
 	}
 }

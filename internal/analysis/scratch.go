@@ -124,12 +124,9 @@ type Scratch struct {
 	// rounds of the partitioning loop: views depend only on the (immutable,
 	// finalized) task, never on the candidate partition.
 	viewCache map[rt.TaskID]cachedViews
-	// taskPos maps each task ID to its position in ts.Tasks: task IDs need
-	// not be dense, and eta terms name their task by position.
-	taskPos map[rt.TaskID]int
-	vs      model.ViewScratch
-	pviews  arena[pathView]
-	flat    arena[int64] // request-vector backing of cached views
+	vs        model.ViewScratch
+	pviews    arena[pathView]
+	flat      arena[int64] // request-vector backing of cached views
 
 	// WCRTs-lifetime state: the response-time map handed out by WCRTs,
 	// valid until the next WCRTs call (internal/partition copies it into
@@ -137,15 +134,13 @@ type Scratch struct {
 	wcrts map[rt.TaskID]rt.Time
 
 	// Per-task state, reset by buildCtx.
-	ctx        taskCtx
-	terms      arena[etaTerm]
-	srcs       arena[etaSrc]
-	times      arena[rt.Time]
-	resIDs     arena[rt.ResourceID]
-	i64s       arena[int64]
-	bools      arena[bool]
-	epsMemo    epsTable
-	sharedView [1]pathView
+	ctx     taskCtx
+	terms   arena[etaTerm]
+	srcs    arena[etaSrc]
+	times   arena[rt.Time]
+	resIDs  arena[rt.ResourceID]
+	bools   arena[bool]
+	epsMemo epsTable
 
 	// rec, when non-nil, receives per-stage pipeline timings. It survives
 	// every reset: instrumentation is a property of the Scratch's owner
@@ -186,7 +181,6 @@ func (s *Scratch) stageEnd(st Stage, start time.Time) {
 func NewScratch() *Scratch {
 	return &Scratch{
 		viewCache: make(map[rt.TaskID]cachedViews),
-		taskPos:   make(map[rt.TaskID]int),
 		wcrts:     make(map[rt.TaskID]rt.Time),
 	}
 }
@@ -198,7 +192,6 @@ func NewScratch() *Scratch {
 //schedlint:hotpath
 func (s *Scratch) analyzerReset() {
 	clear(s.viewCache)
-	clear(s.taskPos)
 	s.pviews.reset()
 	s.flat.reset()
 }
@@ -211,7 +204,6 @@ func (s *Scratch) taskReset() {
 	s.srcs.reset()
 	s.times.reset()
 	s.resIDs.reset()
-	s.i64s.reset()
 	s.bools.reset()
 	s.epsMemo.reset()
 }

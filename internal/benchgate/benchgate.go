@@ -28,10 +28,17 @@ type Result struct {
 	Runs int `json:"runs"`
 }
 
-// Snapshot is the committed benchmark state of one PR.
+// Snapshot is the committed benchmark state of one PR. The machine fields
+// are empty in snapshots recorded before they existed.
 type Snapshot struct {
-	GoOS       string            `json:"goos"`
-	GoArch     string            `json:"goarch"`
+	GoOS   string `json:"goos"`
+	GoArch string `json:"goarch"`
+	// CPU is go test's "cpu:" header; GoMaxProcs comes from the -<procs>
+	// suffix of the benchmark names (absent means 1); GoVersion is the
+	// toolchain that parsed the run.
+	CPU        string            `json:"cpu,omitempty"`
+	GoMaxProcs int               `json:"gomaxprocs,omitempty"`
+	GoVersion  string            `json:"go_version,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
@@ -51,9 +58,14 @@ type sample struct {
 // different core counts.
 func Parse(r io.Reader) (*Snapshot, error) {
 	raw := map[string][]sample{}
+	snap := &Snapshot{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, GoVersion: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			snap.CPU = strings.TrimSpace(cpu)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -62,7 +74,10 @@ func Parse(r io.Reader) (*Snapshot, error) {
 		if len(fields) < 4 || fields[3] != "ns/op" {
 			continue
 		}
-		name := normalizeName(fields[0])
+		name, procs := normalizeName(fields[0])
+		if snap.GoMaxProcs == 0 {
+			snap.GoMaxProcs = procs
+		}
 		s := sample{bytes: -1, allocs: -1}
 		var err error
 		if s.ns, err = strconv.ParseFloat(fields[2], 64); err != nil {
@@ -96,8 +111,7 @@ func Parse(r io.Reader) (*Snapshot, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("benchgate: no benchmark lines found")
 	}
-	snap := &Snapshot{GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
-		Benchmarks: make(map[string]Result, len(raw))}
+	snap.Benchmarks = make(map[string]Result, len(raw))
 	for name, ss := range raw {
 		snap.Benchmarks[name] = aggregate(ss)
 	}
@@ -105,16 +119,18 @@ func Parse(r io.Reader) (*Snapshot, error) {
 }
 
 // normalizeName strips the -<procs> suffix go test appends to benchmark
-// names (Benchmark/sub-8 → Benchmark/sub).
-func normalizeName(name string) string {
+// names (Benchmark/sub-8 → Benchmark/sub) and returns it as procs; go test
+// omits the suffix when GOMAXPROCS is 1.
+func normalizeName(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 func aggregate(ss []sample) Result {

@@ -1,6 +1,8 @@
 package benchgate
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -37,6 +39,46 @@ func TestParseAggregates(t *testing.T) {
 	}
 	if en := snap.Benchmarks["BenchmarkAnalysisMethods/DPCP-p-EN"]; en.Runs != 1 || en.AllocsPerOp != 244 {
 		t.Errorf("EN = %+v", en)
+	}
+}
+
+func TestParseRecordsMachine(t *testing.T) {
+	snap, err := Parse(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "Intel(R) Xeon(R) Processor @ 2.70GHz"; snap.CPU != want {
+		t.Errorf("CPU = %q, want %q", snap.CPU, want)
+	}
+	if snap.GoMaxProcs != 8 {
+		t.Errorf("GoMaxProcs = %d, want 8", snap.GoMaxProcs)
+	}
+	if snap.GoVersion != runtime.Version() {
+		t.Errorf("GoVersion = %q, want %q", snap.GoVersion, runtime.Version())
+	}
+
+	// go test drops the suffix at GOMAXPROCS=1, and pre-existing snapshots
+	// without the fields still decode.
+	one, err := Parse(strings.NewReader("BenchmarkX 100 500 ns/op 0 B/op 0 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.GoMaxProcs != 1 || one.CPU != "" {
+		t.Errorf("suffixless run: GoMaxProcs = %d, CPU = %q; want 1, empty", one.GoMaxProcs, one.CPU)
+	}
+	var old Snapshot
+	if err := json.Unmarshal([]byte(`{"goos":"linux","goarch":"amd64","benchmarks":{"BenchmarkX":{"allocs_per_op":3}}}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.CPU != "" || old.GoMaxProcs != 0 || old.GoVersion != "" || old.Benchmarks["BenchmarkX"].AllocsPerOp != 3 {
+		t.Errorf("old snapshot decoded as %+v", old)
+	}
+	raw, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "cpu") || strings.Contains(string(raw), "go_version") {
+		t.Errorf("empty machine fields must be omitted: %s", raw)
 	}
 }
 

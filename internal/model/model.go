@@ -334,10 +334,6 @@ func (t *Task) Utilization() float64 {
 	return float64(t.wcet) / float64(t.Period)
 }
 
-// Heavy reports whether the task is heavy under federated scheduling,
-// i.e. C_i / D_i > 1.
-func (t *Task) Heavy() bool { t.mustFinal(); return t.wcet > t.Deadline }
-
 // NumRequests returns N_{i,q}, the task's maximum number of requests to q.
 func (t *Task) NumRequests(q rt.ResourceID) int64 {
 	t.mustFinal()

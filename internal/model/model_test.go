@@ -45,9 +45,6 @@ func TestTaskDerivedQuantities(t *testing.T) {
 	if got, want := task.LongestPath(), 10*rt.Microsecond; got != want {
 		t.Errorf("LongestPath = %v, want %v", got, want)
 	}
-	if task.Heavy() {
-		t.Errorf("task with C=19us, D=20us should not be heavy; Heavy()=true")
-	}
 	if got := task.NumRequests(0); got != 1 {
 		t.Errorf("NumRequests(l1) = %d, want 1", got)
 	}
@@ -65,17 +62,12 @@ func TestTaskDerivedQuantities(t *testing.T) {
 	}
 }
 
-func TestHeavyClassification(t *testing.T) {
+func TestUtilizationAboveOne(t *testing.T) {
 	task := NewTask(0, 10*rt.Microsecond, 10*rt.Microsecond)
-	a := task.AddVertex(8 * rt.Microsecond)
-	b := task.AddVertex(8 * rt.Microsecond)
-	_ = a
-	_ = b
+	task.AddVertex(8 * rt.Microsecond)
+	task.AddVertex(8 * rt.Microsecond)
 	if err := task.Finalize(0); err != nil {
 		t.Fatalf("Finalize: %v", err)
-	}
-	if !task.Heavy() {
-		t.Errorf("C=16, D=10: Heavy() = false, want true")
 	}
 	if got := task.Utilization(); got != 1.6 {
 		t.Errorf("Utilization = %v, want 1.6", got)

@@ -22,10 +22,9 @@ type Partition struct {
 	TS *model.Taskset
 
 	procs   map[rt.TaskID][]rt.ProcID   // cluster of each task
-	owner   []rt.TaskID                 // owning (heavy) task per processor
+	owner   []rt.TaskID                 // owning task per processor
 	resProc map[rt.ResourceID]rt.ProcID // placement of global resources
 	resOn   map[rt.ProcID][]rt.ResourceID
-	shared  map[rt.ProcID][]rt.TaskID // light tasks sharing a processor (Sec. VI)
 }
 
 // New returns an empty partition for the taskset.
@@ -36,7 +35,6 @@ func New(ts *model.Taskset) *Partition {
 		owner:   make([]rt.TaskID, ts.NumProcs),
 		resProc: make(map[rt.ResourceID]rt.ProcID),
 		resOn:   make(map[rt.ProcID][]rt.ResourceID),
-		shared:  make(map[rt.ProcID][]rt.TaskID),
 	}
 	for k := range p.owner {
 		p.owner[k] = -1
@@ -48,41 +46,27 @@ func New(ts *model.Taskset) *Partition {
 // unassigned processor IDs. It returns false when not enough processors
 // remain.
 func (p *Partition) Assign(id rt.TaskID, count int) bool {
-	if count <= 0 {
-		return true
-	}
-	n := 0
-	for k, o := range p.owner {
-		if o < 0 && len(p.shared[rt.ProcID(k)]) == 0 {
-			n++
-			if n == count {
-				break
-			}
-		}
-	}
-	if n < count {
+	if count > p.Unassigned() {
 		return false
 	}
-	n = 0
 	for k, o := range p.owner {
-		if o < 0 && len(p.shared[rt.ProcID(k)]) == 0 {
+		if count <= 0 {
+			break
+		}
+		if o < 0 {
 			p.owner[k] = id
 			p.procs[id] = append(p.procs[id], rt.ProcID(k))
-			n++
-			if n == count {
-				return true
-			}
+			count--
 		}
 	}
 	return true
 }
 
-// Unassigned returns the number of processors not assigned to any task,
-// heavy or light.
+// Unassigned returns the number of processors no task owns.
 func (p *Partition) Unassigned() int {
 	n := 0
-	for k, o := range p.owner {
-		if o < 0 && len(p.shared[rt.ProcID(k)]) == 0 {
+	for _, o := range p.owner {
+		if o < 0 {
 			n++
 		}
 	}
@@ -95,42 +79,8 @@ func (p *Partition) Procs(id rt.TaskID) []rt.ProcID { return p.procs[id] }
 // NumProcs returns m_i, the cluster size of the task.
 func (p *Partition) NumProcs(id rt.TaskID) int { return len(p.procs[id]) }
 
-// Owner returns the heavy task owning processor k, or -1.
+// Owner returns the task whose cluster contains processor k, or -1.
 func (p *Partition) Owner(k rt.ProcID) rt.TaskID { return p.owner[k] }
-
-// AssignShared places a light task on processor k, which may already host
-// other light tasks (Sec. VI: light tasks are treated as sequential tasks
-// on the remaining processors). The processor must not belong to a heavy
-// task's cluster.
-func (p *Partition) AssignShared(id rt.TaskID, k rt.ProcID) error {
-	if p.owner[k] >= 0 {
-		return fmt.Errorf("partition: processor %d belongs to heavy task %d", k, p.owner[k])
-	}
-	for _, other := range p.shared[k] {
-		if other == id {
-			return fmt.Errorf("partition: task %d already on processor %d", id, k)
-		}
-	}
-	p.shared[k] = append(p.shared[k], id)
-	p.procs[id] = append(p.procs[id], k)
-	return nil
-}
-
-// SharedOn returns the light tasks sharing processor k.
-func (p *Partition) SharedOn(k rt.ProcID) []rt.TaskID { return p.shared[k] }
-
-// IsShared reports whether the task was placed with AssignShared, i.e.
-// runs sequentially on a (possibly shared) processor.
-func (p *Partition) IsShared(id rt.TaskID) bool {
-	for _, ks := range p.procs[id] {
-		for _, other := range p.shared[ks] {
-			if other == id {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // PlaceResource assigns global resource q to processor k.
 func (p *Partition) PlaceResource(q rt.ResourceID, k rt.ProcID) {
@@ -199,8 +149,8 @@ func (p *Partition) AppendClusterResources(dst []rt.ResourceID, id rt.TaskID) []
 
 // EqualAssignment reports whether p and o describe exactly the same
 // assignment: the same processor owners, the same clusters in the same
-// order, the same light-task sharing, and the same resource placement
-// (including each processor's resource order, which the analysis iterates).
+// order, and the same resource placement (including each processor's
+// resource order, which the analysis iterates).
 // The incremental delta analyzer uses it to decide whether a candidate
 // partition of a patched taskset matches the retained final partition of
 // the base analysis — order-sensitive equality is what makes replaying the
@@ -250,20 +200,6 @@ func (p *Partition) EqualAssignment(o *Partition) bool {
 			}
 		}
 	}
-	if len(p.shared) != len(o.shared) {
-		return false
-	}
-	for k, ids := range p.shared {
-		oids, ok := o.shared[k]
-		if !ok || len(oids) != len(ids) {
-			return false
-		}
-		for j, id := range ids {
-			if oids[j] != id {
-				return false
-			}
-		}
-	}
 	return true
 }
 
@@ -306,9 +242,6 @@ func (p *Partition) Clone() *Partition {
 	for q, k := range p.resProc {
 		c.resProc[q] = k
 		c.resOn[k] = append(c.resOn[k], q)
-	}
-	for k, ids := range p.shared {
-		c.shared[k] = append([]rt.TaskID(nil), ids...)
 	}
 	return c
 }
@@ -381,57 +314,23 @@ const (
 // federated assignment, worst-fit-decreasing resource placement, and
 // schedulability-test-driven processor augmentation with rollback.
 func Algorithm1(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
-	p := New(ts)
-	for _, t := range ts.Tasks {
-		mi, err := InitialProcs(t)
-		if err != nil {
-			return Result{Partition: p, Reason: err.Error()}
-		}
-		if !p.Assign(t.ID, mi) {
-			return Result{Partition: p, Reason: fmt.Sprintf(
-				"not enough processors for initial assignment of task %d", t.ID)}
-		}
-	}
-
-	byPrio := ts.ByPriorityDesc()
-	rounds := 0
-	for {
-		rounds++
-		if rounds > 4*ts.NumProcs+8 {
-			// Algorithm 1 terminates within m-2n rounds on heavy-only
-			// sets; this guard catches degenerate inputs.
-			return Result{Partition: p, Rounds: rounds, Reason: "round limit exceeded"}
-		}
-		p.ClearResources()
-		if !placeResources(p, heuristic) {
-			return Result{Partition: p, Rounds: rounds,
-				Reason: "infeasible global resource allocation"}
-		}
-		wcrts := a.WCRTs(p)
-		augmented := false
-		for _, t := range byPrio {
-			if wcrts[t.ID] <= t.Deadline {
-				continue
-			}
-			if p.Unassigned() == 0 {
-				return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds,
-					Reason: fmt.Sprintf("task %d misses deadline (R=%s > D=%s) and no processors remain",
-						t.ID, rt.FormatTime(wcrts[t.ID]), rt.FormatTime(t.Deadline))}
-			}
-			p.Assign(t.ID, 1)
-			augmented = true
-			break // rollback resources and retry (paper line 13-14)
-		}
-		if !augmented {
-			return Result{Schedulable: true, Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds}
-		}
-	}
+	return augment(ts, a, func(p *Partition) bool { return placeResources(p, heuristic) })
 }
 
 // IterativeFederated performs the same processor-augmentation loop without
 // resource placement; it drives the SPIN, LPP and FED-FP baselines, whose
 // requests execute locally.
 func IterativeFederated(ts *model.Taskset, a Analyzer) Result {
+	return augment(ts, a, nil)
+}
+
+// augment is the augmentation loop behind Algorithm1 and
+// IterativeFederated. Every task starts on InitialProcs processors of its
+// own; each round re-places the global resources (place, nil for the
+// resource-free baselines), analyzes, and grants one more processor to the
+// highest-priority task that misses its deadline, until every task meets
+// it or no processor remains.
+func augment(ts *model.Taskset, a Analyzer, place func(*Partition) bool) Result {
 	p := New(ts)
 	for _, t := range ts.Tasks {
 		mi, err := InitialProcs(t)
@@ -443,12 +342,22 @@ func IterativeFederated(ts *model.Taskset, a Analyzer) Result {
 				"not enough processors for initial assignment of task %d", t.ID)}
 		}
 	}
+
 	byPrio := ts.ByPriorityDesc()
 	rounds := 0
 	for {
 		rounds++
 		if rounds > 4*ts.NumProcs+8 {
+			// Algorithm 1 terminates within m-2n rounds; this guard catches
+			// degenerate inputs.
 			return Result{Partition: p, Rounds: rounds, Reason: "round limit exceeded"}
+		}
+		if place != nil {
+			p.ClearResources()
+			if !place(p) {
+				return Result{Partition: p, Rounds: rounds,
+					Reason: "infeasible global resource allocation"}
+			}
 		}
 		wcrts := a.WCRTs(p)
 		augmented := false
@@ -457,110 +366,18 @@ func IterativeFederated(ts *model.Taskset, a Analyzer) Result {
 				continue
 			}
 			if p.Unassigned() == 0 {
-				return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds,
-					Reason: fmt.Sprintf("task %d misses deadline and no processors remain", t.ID)}
-			}
-			p.Assign(t.ID, 1)
-			augmented = true
-			break
-		}
-		if !augmented {
-			return Result{Schedulable: true, Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds}
-		}
-	}
-}
-
-// AlgorithmMixed extends Algorithm 1 to sets containing light tasks
-// (Sec. VI): heavy tasks receive federated clusters exactly as in
-// Algorithm 1, light tasks are packed worst-fit-decreasing by utilization
-// onto the remaining processors (several lights may share one processor),
-// global resources are placed on the heavy clusters by Algorithm 2, and
-// the augmentation loop grows the cluster of the first failing heavy
-// task. A failing light task is terminal: the paper leaves optimal light
-// handling open, and this implementation does not re-pack lights.
-func AlgorithmMixed(ts *model.Taskset, a Analyzer, heuristic PlacementHeuristic) Result {
-	p := New(ts)
-	var lights []*model.Task
-	for _, t := range ts.Tasks {
-		if !t.Heavy() {
-			lights = append(lights, t)
-			continue
-		}
-		mi, err := InitialProcs(t)
-		if err != nil {
-			return Result{Partition: p, Reason: err.Error()}
-		}
-		if !p.Assign(t.ID, mi) {
-			return Result{Partition: p, Reason: fmt.Sprintf(
-				"not enough processors for initial assignment of heavy task %d", t.ID)}
-		}
-	}
-
-	// Light tasks: worst-fit decreasing by utilization over the remaining
-	// processors; a processor may host several lights while its total
-	// utilization stays at or below 1.
-	if len(lights) > 0 {
-		var pool []rt.ProcID
-		for k := 0; k < ts.NumProcs; k++ {
-			if p.Owner(rt.ProcID(k)) < 0 {
-				pool = append(pool, rt.ProcID(k))
-			}
-		}
-		if len(pool) == 0 {
-			return Result{Partition: p, Reason: "no processors left for light tasks"}
-		}
-		sort.SliceStable(lights, func(a, b int) bool {
-			ua, ub := lights[a].Utilization(), lights[b].Utilization()
-			if ua != ub {
-				return ua > ub
-			}
-			return lights[a].ID < lights[b].ID
-		})
-		util := make(map[rt.ProcID]float64, len(pool))
-		for _, t := range lights {
-			best := rt.NoProc
-			for _, k := range pool {
-				if best == rt.NoProc || util[k] < util[best] {
-					best = k
+				// DPCP-p's reason quotes the failing bound; the
+				// baselines' does not.
+				reason := fmt.Sprintf("task %d misses deadline and no processors remain", t.ID)
+				if place != nil {
+					reason = fmt.Sprintf("task %d misses deadline (R=%s > D=%s) and no processors remain",
+						t.ID, rt.FormatTime(wcrts[t.ID]), rt.FormatTime(t.Deadline))
 				}
-			}
-			if util[best]+t.Utilization() > 1.0+1e-9 {
-				return Result{Partition: p, Reason: fmt.Sprintf(
-					"light task %d does not fit on any remaining processor", t.ID)}
-			}
-			if err := p.AssignShared(t.ID, best); err != nil {
-				return Result{Partition: p, Reason: err.Error()}
-			}
-			util[best] += t.Utilization()
-		}
-	}
-
-	byPrio := ts.ByPriorityDesc()
-	rounds := 0
-	for {
-		rounds++
-		if rounds > 4*ts.NumProcs+8 {
-			return Result{Partition: p, Rounds: rounds, Reason: "round limit exceeded"}
-		}
-		p.ClearResources()
-		if !placeResources(p, heuristic) {
-			return Result{Partition: p, Rounds: rounds,
-				Reason: "infeasible global resource allocation"}
-		}
-		wcrts := a.WCRTs(p)
-		augmented := false
-		for _, t := range byPrio {
-			if wcrts[t.ID] <= t.Deadline {
-				continue
-			}
-			if p.IsShared(t.ID) || p.Unassigned() == 0 {
-				return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds,
-					Reason: fmt.Sprintf("task %d misses deadline (R=%s > D=%s)",
-						t.ID, rt.FormatTime(wcrts[t.ID]), rt.FormatTime(t.Deadline))}
+				return Result{Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds, Reason: reason}
 			}
 			p.Assign(t.ID, 1)
 			augmented = true
-			break
+			break // rollback resources and retry (paper line 13-14)
 		}
 		if !augmented {
 			return Result{Schedulable: true, Partition: p, WCRT: copyWCRTs(wcrts), Rounds: rounds}
@@ -591,7 +408,7 @@ func placeResources(p *Partition, heuristic PlacementHeuristic) bool {
 	var clusters []*cluster
 	for _, t := range ts.Tasks {
 		procs := p.Procs(t.ID)
-		if len(procs) == 0 || p.IsShared(t.ID) {
+		if len(procs) == 0 {
 			continue
 		}
 		c := &cluster{task: t, capacity: float64(len(procs)), util: t.Utilization(),
@@ -600,23 +417,6 @@ func placeResources(p *Partition, heuristic PlacementHeuristic) bool {
 			c.procUtil[k] = 0
 		}
 		clusters = append(clusters, c)
-	}
-	if len(clusters) == 0 {
-		// All-light systems: fall back to per-processor pseudo-clusters so
-		// the original DPCP placement still has somewhere to put agents.
-		for k := 0; k < ts.NumProcs; k++ {
-			ids := p.SharedOn(rt.ProcID(k))
-			if len(ids) == 0 {
-				continue
-			}
-			util := 0.0
-			for _, id := range ids {
-				util += ts.Task(id).Utilization()
-			}
-			c := &cluster{task: ts.Task(ids[0]), capacity: 1, util: util,
-				procUtil: map[rt.ProcID]float64{rt.ProcID(k): 0}}
-			clusters = append(clusters, c)
-		}
 	}
 	if len(clusters) == 0 {
 		return len(globals) == 0

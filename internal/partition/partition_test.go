@@ -71,6 +71,16 @@ func TestInitialProcs(t *testing.T) {
 	if err != nil || m1 != 4 {
 		t.Errorf("InitialProcs(task1) = %d, %v; want 4", m1, err)
 	}
+	// A light task (C = L* = 5us <= D = 10us) still owns one processor:
+	// ceil((5-5)/(10-5)) = 0, raised to 1.
+	light := model.NewTask(2, 10*rt.Microsecond, 10*rt.Microsecond)
+	light.AddVertex(5 * rt.Microsecond)
+	if err := light.Finalize(0); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := InitialProcs(light); err != nil || m != 1 {
+		t.Errorf("InitialProcs(light) = %d, %v; want 1", m, err)
+	}
 }
 
 func TestInitialProcsRejectsInfeasibleChain(t *testing.T) {

@@ -322,4 +322,3 @@ func TestDeltaSharesResultCache(t *testing.T) {
 			m.Analyses-analysesBefore)
 	}
 }
-

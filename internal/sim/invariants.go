@@ -100,8 +100,8 @@ func (s *Sim) checkCeilingRule() {
 	}
 }
 
-// checkWorkConservation: no processor may idle while any task assigned to
-// it (heavy owner or co-located light) has ready vertices.
+// checkWorkConservation: no processor may idle while its owner has ready
+// vertices.
 func (s *Sim) checkWorkConservation() {
 	for _, k := range s.procs {
 		if k.busy() {
@@ -110,15 +110,9 @@ func (s *Sim) checkWorkConservation() {
 		if len(k.rqG) > 0 {
 			s.violate("proc %d idle with ready agent requests", k.id)
 		}
-		check := func(st *taskState) {
-			if st != nil && len(st.rqN)+len(st.rqL) > 0 {
-				s.violate("proc %d idle while task %d has %d ready vertices",
-					k.id, st.t.ID, len(st.rqN)+len(st.rqL))
-			}
-		}
-		check(k.owner)
-		for _, st := range k.lights {
-			check(st)
+		if st := k.owner; st != nil && len(st.rqN)+len(st.rqL) > 0 {
+			s.violate("proc %d idle while task %d has %d ready vertices",
+				k.id, st.t.ID, len(st.rqN)+len(st.rqL))
 		}
 	}
 }

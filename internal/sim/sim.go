@@ -119,15 +119,14 @@ type resState struct {
 	waiters  []*vertexRun // FIFO waiters on a locally-executed resource
 }
 
-// procState is one physical processor: owner cluster (heavy) or co-located
-// light tasks (Sec. VI), plus the agent queues RQG (ready,
-// priority-ordered) and SQG (suspended on the ceiling).
+// procState is one physical processor: the task whose cluster owns it,
+// plus the agent queues RQG (ready, priority-ordered) and SQG (suspended on
+// the ceiling).
 type procState struct {
-	id     rt.ProcID
-	owner  *taskState
-	lights []*taskState // light tasks sharing this processor
-	rqG    []*request
-	sqG    []*request
+	id    rt.ProcID
+	owner *taskState
+	rqG   []*request
+	sqG   []*request
 
 	// What is currently executing.
 	curReq   *request
@@ -247,14 +246,8 @@ func New(ts *model.Taskset, p *partition.Partition, cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("sim: task %d has no processors", t.ID)
 		}
 		s.tasks[t.ID] = st
-		if p.IsShared(t.ID) {
-			for _, k := range st.procs {
-				s.procs[k].lights = append(s.procs[k].lights, st)
-			}
-		} else {
-			for _, k := range st.procs {
-				s.procs[k].owner = st
-			}
+		for _, k := range st.procs {
+			s.procs[k].owner = st
 		}
 	}
 	for q := 0; q < ts.NumResources; q++ {
@@ -692,18 +685,6 @@ func (s *Sim) scheduleProc(k *procState) bool {
 			s.startRequest(k, top)
 			return true
 		}
-		// Partitioned fixed-priority between co-located tasks (Sec. VI):
-		// a ready vertex of a strictly higher-priority task preempts.
-		// Even when the popped vertex suspends on a busy semaphore instead
-		// of starting, queues changed, so report true and let the fixpoint
-		// re-schedule this processor.
-		if best := s.bestVertexTask(k); best != nil &&
-			best != k.curVert.job.task &&
-			best.t.Priority.Higher(k.curVert.job.task.t.Priority) {
-			s.preemptVertex(k)
-			s.startNextVertex(k, best)
-			return true
-		}
 		// ProtocolLPP: boosting is preemptive — a ready lock holder
 		// outranks every non-holding vertex on the processor.
 		if s.cfg.Protocol == ProtocolLPP && k.curVert.holding == NoResource {
@@ -733,43 +714,22 @@ func (s *Sim) scheduleProc(k *procState) bool {
 	}
 }
 
-// bestVertexTask returns the highest-priority task among the processor's
-// owner and co-located lights that has ready vertices, or nil.
+// bestVertexTask returns the processor's owner when it has ready
+// vertices, or nil.
 func (s *Sim) bestVertexTask(k *procState) *taskState {
-	var best *taskState
-	consider := func(st *taskState) {
-		if st == nil || len(st.rqL)+len(st.rqN) == 0 {
-			return
-		}
-		if best == nil || st.t.Priority.Higher(best.t.Priority) {
-			best = st
-		}
+	if st := k.owner; st != nil && len(st.rqL)+len(st.rqN) > 0 {
+		return st
 	}
-	consider(k.owner)
-	for _, st := range k.lights {
-		consider(st)
-	}
-	return best
+	return nil
 }
 
-// bestHolderTask returns the highest-priority task among the processor's
-// owner and co-located lights with a ready lock holder (non-empty RQL), or
-// nil. Used by the LPP preemptive-boosting rule.
+// bestHolderTask returns the processor's owner when it has a ready lock
+// holder (non-empty RQL), or nil. Used by the LPP preemptive-boosting rule.
 func (s *Sim) bestHolderTask(k *procState) *taskState {
-	var best *taskState
-	consider := func(st *taskState) {
-		if st == nil || len(st.rqL) == 0 {
-			return
-		}
-		if best == nil || st.t.Priority.Higher(best.t.Priority) {
-			best = st
-		}
+	if st := k.owner; st != nil && len(st.rqL) > 0 {
+		return st
 	}
-	consider(k.owner)
-	for _, st := range k.lights {
-		consider(st)
-	}
-	return best
+	return nil
 }
 
 // startNextVertex pops the task's RQL (first) or RQN and runs it on k. It
