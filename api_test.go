@@ -83,8 +83,8 @@ func TestFacadeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pd.ChangedIDs()) != 1 || pd.ChangedIDs()[0] != ts.Tasks[0].ID {
-		t.Fatalf("changed-task set = %v, want exactly task %d", pd.ChangedIDs(), ts.Tasks[0].ID)
+	if _, ok := pd.Changed[ts.Tasks[0].ID]; len(pd.Changed) != 1 || !ok {
+		t.Fatalf("changed-task set = %v, want exactly task %d", pd.Changed, ts.Tasks[0].ID)
 	}
 	_, got, _, _, err := d.Apply(sc, p)
 	if err != nil {

@@ -243,7 +243,7 @@ func BenchmarkInstrumentedAnalysis(b *testing.B) {
 				analysis.TestWith(sc, m, ts, analysis.Options{})
 			}
 			b.StopTimer()
-			if rec.h[analysis.StageRound].Count() == 0 {
+			if rec.h[analysis.StageRound].Snapshot().Count == 0 {
 				b.Fatal("stage recorder saw no samples; instrumentation is dead")
 			}
 		})

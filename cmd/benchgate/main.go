@@ -11,8 +11,8 @@
 // explicit -bench), and writes the aggregated snapshot (median ns/op,
 // minimum B/op and allocs/op per benchmark). "compare" gates one snapshot
 // file against another. "gate" does both — CI's single step — exiting 1
-// when any benchmark regresses beyond the thresholds (-time-threshold,
-// -alloc-threshold, -alloc-slack; see internal/benchgate for semantics).
+// when any benchmark regresses beyond benchgate.DefaultThresholds: +50%
+// ns/op, or +10% plus 2 allocs/op (see internal/benchgate for semantics).
 //
 // Refreshing the committed snapshot after an intentional change:
 //
@@ -73,14 +73,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		count     = fs.Int("count", 5, "benchmark repetitions (median/min aggregated)")
 		benchtime = fs.String("benchtime", "", "go test -benchtime value (default: 100x, or each pinned group's own)")
 		pkg       = fs.String("pkg", ".", "package to benchmark (pinned groups that name their own package keep it)")
-		timeTh    = fs.Float64("time-threshold", 0.50, "allowed fractional ns/op growth")
-		allocTh   = fs.Float64("alloc-threshold", 0.10, "allowed fractional allocs/op growth")
-		slack     = fs.Int64("alloc-slack", 2, "absolute allocs/op slack on top of the threshold")
 	)
 	if err := fs.Parse(args[1:]); err != nil {
 		return 2
 	}
-	th := benchgate.Thresholds{Time: *timeTh, Alloc: *allocTh, AllocSlack: *slack}
+	th := benchgate.DefaultThresholds()
 	suite := defaultSuite
 	if *bench != "" {
 		suite = []benchGroup{{*bench, "100x", ""}}

@@ -1,7 +1,8 @@
 // Command schedlint is the multichecker for the repository's invariant
 // suite: determinism (byte-identical serialized output), hotpath
 // (zero-allocation analysis core), ctxflow (context threading on request
-// paths), and lockcheck (mutex and atomic discipline). It exits 0 on a
+// paths), lockcheck (mutex and atomic discipline), and unused (no
+// function that only tests reach; whole-module loads only). It exits 0 on a
 // clean tree, 1 when findings exist, and 2 on load errors, so CI can use
 // it as a hard gate:
 //

@@ -57,9 +57,9 @@ func testWCRTsZeroAlloc(t *testing.T, en bool) {
 	if n := testing.AllocsPerRun(20, func() { a.WCRTs(p) }); n != 0 {
 		t.Fatalf("%s warm WCRTs: %v allocs/run, want 0", m, n)
 	}
-	if rec.h[StageRound].Count() == 0 || rec.h[StageFixPoint].Count() == 0 {
+	if rec.h[StageRound].Snapshot().Count == 0 || rec.h[StageFixPoint].Snapshot().Count == 0 {
 		t.Fatalf("%s: stage recorder saw no samples (round=%d fixpoint=%d); instrumentation is dead",
-			m, rec.h[StageRound].Count(), rec.h[StageFixPoint].Count())
+			m, rec.h[StageRound].Snapshot().Count, rec.h[StageFixPoint].Snapshot().Count)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestStageHooksZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("stage hook pair: %v allocs/run, want 0", n)
 	}
-	if got := rec.h[StageViews].Count(); got < 100 {
+	if got := rec.h[StageViews].Snapshot().Count; got < 100 {
 		t.Fatalf("recorder saw %d samples, want >= 100", got)
 	}
 }

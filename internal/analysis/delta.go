@@ -139,12 +139,11 @@ func NewDelta(sc *Scratch, m Method, ts *model.Taskset, opts Options) (partition
 // Base returns the finalized taskset the state was retained for.
 func (d *Delta) Base() *model.Taskset { return d.ts }
 
-// WCRT returns the retained response-time bound of one base task.
-func (d *Delta) WCRT(id rt.TaskID) rt.Time { return d.wcrt[id] }
-
 // Apply patches the base taskset and runs the incremental analysis; it is
 // ApplyPatch + ApplyTo in one call. The returned hash is the patched
 // taskset's canonical hash (the patch-aware cache key).
+//
+//schedlint:ignore unused perfbench (a separate module the load cannot see) drives its delta workload through it
 func (d *Delta) Apply(sc *Scratch, p model.Patch) (model.Hash, partition.Result, DeltaStats, *Delta, error) {
 	patched, pd, err := model.ApplyPatch(d.ts, p)
 	if err != nil {

@@ -80,7 +80,7 @@ func randomPatch(r *rand.Rand, ts *model.Taskset) model.Patch {
 			return onePatch(model.PatchOp{Op: model.OpSetPeriod, Task: t.ID,
 				Value: t.Period + 1 + rt.Time(r.Int63n(int64(t.Period)))})
 		case 9: // Edge add along the topological order (never a cycle).
-			topo := t.Topo()
+			topo := topoOrder(t)
 			if len(topo) < 2 {
 				continue
 			}
@@ -97,6 +97,26 @@ func randomPatch(r *rand.Rand, ts *model.Taskset) model.Patch {
 }
 
 func onePatch(op model.PatchOp) model.Patch { return model.Patch{Ops: []model.PatchOp{op}} }
+
+// topoOrder rebuilds the topological order Finalize computes (Kahn's
+// algorithm, sources by ascending ID, FIFO) from Succ and Pred.
+func topoOrder(t *model.Task) []rt.VertexID {
+	indeg := make([]int, len(t.Vertices))
+	order := make([]rt.VertexID, 0, len(t.Vertices))
+	for x := range t.Vertices {
+		if indeg[x] = len(t.Pred(rt.VertexID(x))); indeg[x] == 0 {
+			order = append(order, rt.VertexID(x))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, y := range t.Succ(order[i]) {
+			if indeg[y]--; indeg[y] == 0 {
+				order = append(order, y)
+			}
+		}
+	}
+	return order
+}
 
 // requireIdentical asserts a delta result is bit-identical to a full
 // re-analysis: verdict, reason, rounds, every WCRT, and the assignment.

@@ -6,7 +6,6 @@ import (
 
 	"dpcpp/internal/partition"
 	"dpcpp/internal/rt"
-	"dpcpp/internal/rta"
 )
 
 // Breakdown decomposes the Theorem 1 bound of one task into the paper's
@@ -127,6 +126,3 @@ func (a *DPCPp) explainView(ctx *taskCtx, v *pathView) Breakdown {
 	bd.AgentInterference = rt.SatAdd(etaSum(ctx.cluster, at), iaStatic)
 	return bd
 }
-
-// Eta re-exported for diagnostic callers.
-func Eta(window, resp, period rt.Time) int64 { return rta.Eta(window, resp, period) }

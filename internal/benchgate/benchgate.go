@@ -3,10 +3,12 @@
 // allocs/op per benchmark, aggregated over several -count runs; Compare
 // gates a new snapshot against a committed baseline, failing on
 // regressions beyond a noise threshold. The allocation gate is the strict
-// one — allocs/op are deterministic for a fixed code path, so even small
-// increases are real regressions — while the time gate uses a wide
-// threshold to tolerate machine-to-machine variance and only catches
-// gross slowdowns.
+// one: allocs/op are deterministic for a fixed code path, so even small
+// increases are real regressions. The one exception is a sync.Pool on the
+// path: a GC mid-run empties it and its refills count, which the minimum
+// over runs plus AllocSlack absorbs. The time gate uses a wide threshold
+// to tolerate machine-to-machine variance and only catches gross
+// slowdowns.
 package benchgate
 
 import (

@@ -17,7 +17,6 @@ import (
 
 	"dpcpp/internal/analysis"
 	"dpcpp/internal/model"
-	"dpcpp/internal/stats"
 	"dpcpp/internal/taskgen"
 )
 
@@ -47,9 +46,14 @@ type Curve struct {
 	Points   []Point
 }
 
-// Ratio returns the acceptance ratio of the method at point i.
+// Ratio returns the acceptance ratio of the method at point i, 0 for a
+// point without samples.
 func (c *Curve) Ratio(m analysis.Method, i int) float64 {
-	return stats.Ratio(c.Points[i].Accepted[m], c.Points[i].Total)
+	p := c.Points[i]
+	if p.Total == 0 {
+		return 0
+	}
+	return float64(p.Accepted[m]) / float64(p.Total)
 }
 
 // TotalAccepted returns how many tasksets the method scheduled across the

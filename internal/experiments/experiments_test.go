@@ -56,6 +56,21 @@ func TestCampaignRunShape(t *testing.T) {
 	}
 }
 
+// TestRatio: a point's acceptance ratio is accepted/total, and 0 for a
+// point without samples.
+func TestRatio(t *testing.T) {
+	c := &Curve{Points: []Point{
+		{Accepted: map[analysis.Method]int{analysis.DPCPpEP: 1}, Total: 4},
+		{Accepted: map[analysis.Method]int{analysis.DPCPpEP: 1}},
+	}}
+	if got := c.Ratio(analysis.DPCPpEP, 0); got != 0.25 {
+		t.Errorf("Ratio = %g, want 0.25", got)
+	}
+	if got := c.Ratio(analysis.DPCPpEP, 1); got != 0 {
+		t.Errorf("Ratio with no samples = %g, want 0", got)
+	}
+}
+
 func TestCampaignMonotoneTrends(t *testing.T) {
 	curve, err := fastCampaign().Run()
 	if err != nil {

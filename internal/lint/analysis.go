@@ -71,7 +71,7 @@ func (f Finding) String() string {
 
 // Analyzers returns the full schedlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath, Ctxflow, Lockcheck}
+	return []*Analyzer{Determinism, Hotpath, Ctxflow, Lockcheck, Unused}
 }
 
 // Run applies the analyzers to every target package of the program (loaded

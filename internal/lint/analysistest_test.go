@@ -48,7 +48,9 @@ func LoadDir(dir string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The testdata package stands in for a whole module: it is its root.
 	p := &listPkg{ImportPath: filepath.Base(dir), Name: filepath.Base(dir), Dir: dir}
+	p.Module = &struct{ Path string }{p.ImportPath}
 	for _, ent := range ents {
 		if !ent.IsDir() && strings.HasSuffix(ent.Name(), ".go") {
 			p.GoFiles = append(p.GoFiles, ent.Name())

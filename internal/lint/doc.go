@@ -1,6 +1,6 @@
 // Package lint: invariant catalogue and annotation grammar.
 //
-// schedlint exists because three of this repository's load-bearing
+// schedlint exists because four of this repository's load-bearing
 // properties are invisible to the compiler and expensive to catch at
 // runtime:
 //
@@ -24,6 +24,11 @@
 //     lockcheck analyzers enforce the conventions the code comments
 //     already state.
 //
+//   - Production code carries only what production calls. A function
+//     that only tests reach is a concept every reader pays for and no
+//     user gets; the unused analyzer flags it, so it moves into the
+//     _test.go file that needs it or goes.
+//
 // # Analyzers
 //
 //   - determinism: map iteration order reaching serialized output
@@ -35,6 +40,9 @@
 //     functions that already take a context. See Ctxflow.
 //   - lockcheck: `// guarded by mu` fields accessed without the lock, and
 //     mixed atomic/non-atomic access to the same field. See Lockcheck.
+//   - unused: functions and methods that no non-test code references,
+//     reported only when the load covers the whole module (the root
+//     package is a target). See Unused.
 //
 // # Annotation grammar
 //

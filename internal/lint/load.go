@@ -84,10 +84,15 @@ type Program struct {
 
 	lockOnce sync.Once
 	locks    *lockInfo
-}
 
-// Package returns the loaded package with the given import path, or nil.
-func (prog *Program) Package(path string) *Package { return prog.byPath[path] }
+	// root is the module's root package, if loaded; the unused analyzer
+	// reports only when it is a load target.
+	root *Package
+
+	unusedOnce sync.Once
+	used       map[*types.Func]bool          // funcs referenced outside their own body
+	ifaces     map[string][]*types.Interface // interfaces by method name
+}
 
 // FuncDecl returns the declaration of fn if fn is a module function loaded
 // into the program, else nil.
@@ -102,9 +107,10 @@ type listPkg struct {
 	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
+	Module     *struct{ Path string }
 }
 
-const listFields = "ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles"
+const listFields = "ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,Module"
 
 func goList(dir string, args ...string) ([]*listPkg, error) {
 	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-deps", "-json=" + listFields}, args...)...)
@@ -204,6 +210,9 @@ func (prog *Program) addPackage(p *listPkg, imp types.Importer) error {
 	}
 	prog.Pkgs = append(prog.Pkgs, pkg)
 	prog.byPath[p.ImportPath] = pkg
+	if p.Module != nil && p.Module.Path == p.ImportPath {
+		prog.root = pkg
+	}
 	prog.scanDirectives(pkg)
 	prog.indexFuncs(pkg)
 	return nil
@@ -240,6 +249,7 @@ var knownAnalyzers = map[string]bool{
 	"hotpath":     true,
 	"ctxflow":     true,
 	"lockcheck":   true,
+	"unused":      true,
 }
 
 // scanDirectives processes every //schedlint: comment in the package:
@@ -278,7 +288,7 @@ func (prog *Program) scanDirectives(pkg *Package) {
 					rest := strings.TrimPrefix(directive, "ignore")
 					fields := strings.Fields(rest)
 					if len(fields) < 2 || !knownAnalyzers[fields[0]] {
-						pkg.badDirective(pos, "malformed ignore %q: want //schedlint:ignore <analyzer> <reason>, analyzer one of determinism|hotpath|ctxflow|lockcheck", text)
+						pkg.badDirective(pos, "malformed ignore %q: want //schedlint:ignore <analyzer> <reason>, analyzer one of determinism|hotpath|ctxflow|lockcheck|unused", text)
 						continue
 					}
 					key := ignoreKey{pos.Filename, pos.Line}

@@ -6,7 +6,7 @@ package directives
 //schedlint:hotpath
 var notAFunc = 1
 
-func misplacedDeterministic() int {
+func MisplacedDeterministic() int {
 	//schedlint:deterministic
 	return notAFunc
 }

@@ -383,20 +383,11 @@ func (t *Task) VertexNonCrit(x rt.VertexID) rt.Time {
 	return c
 }
 
-// Topo returns the vertices in a topological order.
-func (t *Task) Topo() []rt.VertexID { t.mustFinal(); return t.topo }
-
 // Succ returns the successors of vertex x.
 func (t *Task) Succ(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.succOf(x) }
 
 // Pred returns the predecessors of vertex x.
 func (t *Task) Pred(x rt.VertexID) []rt.VertexID { t.mustFinal(); return t.predOf(x) }
-
-// Heads returns the source vertices of the DAG.
-func (t *Task) Heads() []rt.VertexID { t.mustFinal(); return t.heads }
-
-// Tails returns the sink vertices of the DAG.
-func (t *Task) Tails() []rt.VertexID { t.mustFinal(); return t.tails }
 
 // Resources returns the IDs of the resources the task uses, ascending.
 func (t *Task) Resources() []rt.ResourceID {

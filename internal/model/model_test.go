@@ -77,7 +77,7 @@ func TestUtilizationAboveOne(t *testing.T) {
 func TestTopoOrderRespectsEdges(t *testing.T) {
 	task := paperTaskGi(t)
 	pos := make(map[rt.VertexID]int)
-	for i, x := range task.Topo() {
+	for i, x := range task.topo {
 		pos[x] = i
 	}
 	for _, e := range task.Edges {
@@ -89,11 +89,11 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 
 func TestHeadsAndTails(t *testing.T) {
 	task := paperTaskGi(t)
-	if got := task.Heads(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("Heads = %v, want [0]", got)
+	if got := task.heads; len(got) != 1 || got[0] != 0 {
+		t.Errorf("heads = %v, want [0]", got)
 	}
-	if got := task.Tails(); len(got) != 1 || got[0] != 7 {
-		t.Errorf("Tails = %v, want [7]", got)
+	if got := task.tails; len(got) != 1 || got[0] != 7 {
+		t.Errorf("tails = %v, want [7]", got)
 	}
 }
 

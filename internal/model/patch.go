@@ -136,16 +136,6 @@ func (d *PatchDelta) ViewsChanged(id rt.TaskID) bool {
 	return d.Changed[id]&viewBits != 0
 }
 
-// ChangedIDs returns the touched task IDs in ascending order.
-func (d *PatchDelta) ChangedIDs() []rt.TaskID {
-	ids := make([]rt.TaskID, 0, len(d.Changed))
-	for id := range d.Changed {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
-}
-
 // taskEdit is an editable deep copy of one finalized task, mirroring the
 // shrinker's spec representation: plain values only, so ops mutate freely
 // and build() reconstructs a fresh Task through the normal constructor

@@ -125,13 +125,6 @@ func (ts *Taskset) ByPriorityDesc() []*Task {
 	return out
 }
 
-// SharedBy returns the tasks that use resource q, from highest to lowest
-// priority.
-func (ts *Taskset) SharedBy(q rt.ResourceID) []rt.TaskID {
-	ts.mustFinal()
-	return ts.sharers[q]
-}
-
 // IsGlobal reports whether q is a global resource, i.e. shared by more than
 // one task (Sec. III-A).
 func (ts *Taskset) IsGlobal(q rt.ResourceID) bool {

@@ -116,9 +116,9 @@ func TestResourceClassification(t *testing.T) {
 
 func TestSharersOrderedByPriority(t *testing.T) {
 	ts := twoTaskSet(t)
-	sh := ts.SharedBy(0)
+	sh := ts.sharers[0]
 	if len(sh) != 2 || sh[0] != 1 || sh[1] != 0 {
-		t.Errorf("SharedBy(l0) = %v, want [1 0] (descending priority)", sh)
+		t.Errorf("sharers of l0 = %v, want [1 0] (descending priority)", sh)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestObserveBucketBoundaries(t *testing.T) {
 	if s.Count != 5 {
 		t.Fatalf("count = %d, want 5", s.Count)
 	}
-	if got := h.Sum(); got != time.Microsecond+time.Microsecond+1+time.Millisecond+time.Millisecond+1 {
+	if got := time.Duration(s.SumNS); got != time.Microsecond+time.Microsecond+1+time.Millisecond+time.Millisecond+1 {
 		t.Fatalf("sum = %v (negative observation must clamp to 0)", got)
 	}
 }
@@ -64,31 +64,6 @@ func TestEWMA(t *testing.T) {
 	}
 }
 
-// TestQuantile checks the interpolated estimate against a uniform fill.
-func TestQuantile(t *testing.T) {
-	h := NewHistogram([]time.Duration{100, 200, 300, 400}) // ns bounds
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram must estimate 0")
-	}
-	// 100 observations spread evenly: 25 per bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(i*4 + 1))
-	}
-	if got := h.Quantile(0.5); got < 150 || got > 250 {
-		t.Fatalf("p50 = %v, want within (150, 250)", got)
-	}
-	if got := h.Quantile(1); got != 400 {
-		t.Fatalf("p100 = %v, want 400", got)
-	}
-	// Mass in +Inf pins estimates to the last finite bound.
-	for i := 0; i < 1000; i++ {
-		h.Observe(time.Hour)
-	}
-	if got := h.Quantile(0.99); got != 400 {
-		t.Fatalf("p99 with +Inf mass = %v, want 400 (last finite bound)", got)
-	}
-}
-
 // TestConcurrentObserve hammers one histogram from many goroutines; under
 // -race this doubles as the lock-freedom proof, and the exact totals prove
 // no observation is lost.
@@ -106,19 +81,16 @@ func TestConcurrentObserve(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*perG {
-		t.Fatalf("count = %d, want %d", got, goroutines*perG)
+	s := h.Snapshot()
+	if s.Count != goroutines*perG {
+		t.Fatalf("snapshot count = %d, want %d", s.Count, goroutines*perG)
 	}
 	var wantSum time.Duration
 	for g := 0; g < goroutines; g++ {
 		wantSum += time.Duration(g+1) * time.Microsecond * perG
 	}
-	if got := h.Sum(); got != wantSum {
+	if got := time.Duration(s.SumNS); got != wantSum {
 		t.Fatalf("sum = %v, want %v", got, wantSum)
-	}
-	s := h.Snapshot()
-	if s.Count != goroutines*perG {
-		t.Fatalf("snapshot count = %d, want %d", s.Count, goroutines*perG)
 	}
 }
 

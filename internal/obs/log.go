@@ -58,15 +58,6 @@ func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
 	return context.WithValue(ctx, loggerKey{}, l)
 }
 
-// LoggerFromContext returns the request-scoped logger, or a discarding one
-// so callers log unconditionally.
-func LoggerFromContext(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok {
-		return l
-	}
-	return NopLogger()
-}
-
 // Build identifies the running binary, read once from the build info the
 // Go toolchain embeds.
 type Build struct {

@@ -92,14 +92,6 @@ func (t *Trace) Finish(status int) {
 	t.mu.Unlock()
 }
 
-// ID returns the trace's request ID ("" on nil).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // ServerTiming renders the spans recorded so far as a Server-Timing header
 // value (durations in milliseconds, per the spec), always including a
 // total of the elapsed request time so the header is never empty. Span

@@ -79,7 +79,7 @@ func TestTraceNilSafety(t *testing.T) {
 	tr.AddSpan("x", time.Now())
 	tr.AddSpanDur("y", time.Now(), time.Second)
 	tr.Finish(500)
-	if tr.ID() != "" || tr.ServerTiming() != "" {
+	if tr.ServerTiming() != "" {
 		t.Fatal("nil trace must render empty")
 	}
 	NewTraceRing(2).Add(nil) // must not panic or count

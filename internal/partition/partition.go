@@ -79,9 +79,6 @@ func (p *Partition) Procs(id rt.TaskID) []rt.ProcID { return p.procs[id] }
 // NumProcs returns m_i, the cluster size of the task.
 func (p *Partition) NumProcs(id rt.TaskID) int { return len(p.procs[id]) }
 
-// Owner returns the task whose cluster contains processor k, or -1.
-func (p *Partition) Owner(k rt.ProcID) rt.TaskID { return p.owner[k] }
-
 // PlaceResource assigns global resource q to processor k.
 func (p *Partition) PlaceResource(q rt.ResourceID, k rt.ProcID) {
 	if old, ok := p.resProc[q]; ok {
@@ -119,22 +116,6 @@ func (p *Partition) ResourceProc(q rt.ResourceID) rt.ProcID {
 // ResourcesOn returns the global resources placed on processor k
 // (the paper's Phi(p_k)).
 func (p *Partition) ResourcesOn(k rt.ProcID) []rt.ResourceID { return p.resOn[k] }
-
-// CoLocated returns the global resources on the same processor as q,
-// including q itself (the paper's Phi^p(l_q)).
-func (p *Partition) CoLocated(q rt.ResourceID) []rt.ResourceID {
-	k := p.ResourceProc(q)
-	if k == rt.NoProc {
-		return nil
-	}
-	return p.resOn[k]
-}
-
-// ClusterResources returns the global resources placed on the cluster of
-// the task (the paper's Phi^p(tau_i)).
-func (p *Partition) ClusterResources(id rt.TaskID) []rt.ResourceID {
-	return p.AppendClusterResources(nil, id)
-}
 
 // AppendClusterResources appends the cluster's global resources to dst and
 // returns the extended slice; analysis hot paths pass a reused buffer to

@@ -118,7 +118,7 @@ func TestAssignAndUnassigned(t *testing.T) {
 		t.Error("Assign(1,5) failed")
 	}
 	for k := 0; k < 8; k++ {
-		if p.Owner(rt.ProcID(k)) < 0 {
+		if p.owner[rt.ProcID(k)] < 0 {
 			t.Errorf("processor %d unowned after full assignment", k)
 		}
 	}
@@ -153,16 +153,18 @@ func TestCoLocatedAndClusterResources(t *testing.T) {
 	p.Assign(1, 2) // procs 2,3
 	p.PlaceResource(0, 0)
 	p.PlaceResource(1, 0)
-	co := p.CoLocated(0)
+	// The paper's Phi^p(l_q): the resources sharing q's processor.
+	co := p.ResourcesOn(p.ResourceProc(0))
 	if len(co) != 2 {
-		t.Errorf("CoLocated(0) = %v, want two resources", co)
+		t.Errorf("co-located with l0 = %v, want two resources", co)
 	}
-	cr := p.ClusterResources(0)
+	// The paper's Phi^p(tau_i): the resources on the task's cluster.
+	cr := p.AppendClusterResources(nil, 0)
 	if len(cr) != 2 {
-		t.Errorf("ClusterResources(task0) = %v, want both resources", cr)
+		t.Errorf("cluster resources of task0 = %v, want both resources", cr)
 	}
-	if got := p.ClusterResources(1); len(got) != 0 {
-		t.Errorf("ClusterResources(task1) = %v, want empty", got)
+	if got := p.AppendClusterResources(nil, 1); len(got) != 0 {
+		t.Errorf("cluster resources of task1 = %v, want empty", got)
 	}
 }
 
@@ -283,7 +285,7 @@ func TestWFDPlacesOnMaxSlackCluster(t *testing.T) {
 		if k == rt.NoProc {
 			t.Fatalf("resource %d unplaced", q)
 		}
-		if owner := p.Owner(k); owner != 2 {
+		if owner := p.owner[k]; owner != 2 {
 			t.Errorf("resource %d placed on task %d's cluster, want max-slack task 2", q, owner)
 		}
 		if procsSeen[k] {
@@ -305,9 +307,9 @@ func TestFFDPlacesOnFirstFit(t *testing.T) {
 	// cluster.
 	for q := 0; q < 3; q++ {
 		k := p.ResourceProc(rt.ResourceID(q))
-		if p.Owner(k) != 0 {
+		if p.owner[k] != 0 {
 			t.Errorf("FFD placed resource %d on task %d's cluster, want task 0",
-				q, p.Owner(k))
+				q, p.owner[k])
 		}
 	}
 }
@@ -340,12 +342,12 @@ func TestWFDBalancesProcessorsWithinCluster(t *testing.T) {
 	for q := 0; q < 4; q++ {
 		k := p.ResourceProc(rt.ResourceID(q))
 		perProc[k]++
-		perCluster[p.Owner(k)]++
+		perCluster[p.owner[k]]++
 	}
 	for k, c := range perProc {
 		// Each cluster receiving r resources over >= r processors must
 		// never stack two resources on one processor.
-		if c > 1 && p.NumProcs(p.Owner(k)) >= perCluster[p.Owner(k)] {
+		if c > 1 && p.NumProcs(p.owner[k]) >= perCluster[p.owner[k]] {
 			t.Errorf("processor %d received %d resources despite free siblings", k, c)
 		}
 	}

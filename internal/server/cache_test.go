@@ -22,6 +22,18 @@ func sameShardKeys(c *lru[*MethodResult], n int) []string {
 	return keys
 }
 
+// waiting reports how many callers are coalesced onto the key's in-flight
+// execution (0 when none is in flight), so tests can release a leader only
+// once its followers have joined.
+func (g *flightGroup[V]) waiting(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.waiters
+	}
+	return 0
+}
+
 func TestResultCacheLRU(t *testing.T) {
 	// Capacity two, three keys in one shard: the insert that overflows the
 	// cache evicts the least recently used entry, a get refreshes recency,

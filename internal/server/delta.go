@@ -188,21 +188,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if decodeBody(w, r, &req) != nil {
 		return
 	}
-	ms, err := parseDeltaMethods(req.Methods)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	ms, opts, ok := s.validateOptions(w, parseDeltaMethods, req.Methods, req.PathCap, req.Placement)
+	if !ok {
 		return
 	}
-	if req.PathCap < 0 {
-		writeError(w, http.StatusBadRequest, "negative path_cap %d", req.PathCap)
-		return
-	}
-	pl, err := parsePlacement(req.Placement)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts := analysis.Options{PathCap: req.PathCap, Placement: pl}
 
 	var baseHash model.Hash
 	switch {
@@ -224,6 +213,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	case req.Base != "":
+		var err error
 		if baseHash, err = parseHash(req.Base); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return

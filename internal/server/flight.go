@@ -121,14 +121,3 @@ func (g *flightGroup[V]) wait() {
 		<-c.done
 	}
 }
-
-// waiting reports how many callers are coalesced onto the key's in-flight
-// execution (0 when none is in flight).
-func (g *flightGroup[V]) waiting(key string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.m[key]; ok {
-		return c.waiters
-	}
-	return 0
-}

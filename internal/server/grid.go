@@ -70,7 +70,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if mq := q.Get("methods"); mq != "" {
 		methodNames = strings.Split(mq, ",")
 	}
-	ms, opts, ok := s.validateOptions(w, methodNames, pathCap, "")
+	ms, opts, ok := s.validateOptions(w, analysis.ParseMethods, methodNames, pathCap, "")
 	if !ok {
 		return
 	}

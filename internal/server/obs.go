@@ -202,6 +202,7 @@ func (w *obsResponseWriter) Flush() {
 	}
 }
 
+//schedlint:ignore unused http.ResponseController calls it through an interface declared inside its methods
 func (w *obsResponseWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // observe wraps the mux dispatch with the request-observability

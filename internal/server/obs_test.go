@@ -156,7 +156,7 @@ func TestPromMetricsEndpoint(t *testing.T) {
 		t.Error("schedd_analyses_total: want 1")
 	}
 	// Stage histograms saw real samples through the pooled scratch hooks.
-	if s.engine.stages.h[analysis.StageRound].Count() == 0 {
+	if s.engine.stages.h[analysis.StageRound].Snapshot().Count == 0 {
 		t.Error("round-stage histogram empty; scratch hooks are not wired")
 	}
 	// Without a store, every breaker-state gauge reads 0.

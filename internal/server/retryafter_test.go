@@ -58,8 +58,8 @@ func TestRetryAfterTracksHistogram(t *testing.T) {
 	if got := e.retryAfterSeconds(); got != 1 {
 		t.Fatalf("after fast observations: got %d, want 1", got)
 	}
-	if e.latency.Count() != 201 {
-		t.Fatalf("histogram count = %d, want 201 (same recorder feeds /metrics)", e.latency.Count())
+	if e.latency.Snapshot().Count != 201 {
+		t.Fatalf("histogram count = %d, want 201 (same recorder feeds /metrics)", e.latency.Snapshot().Count)
 	}
 }
 

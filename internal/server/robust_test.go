@@ -489,8 +489,9 @@ func TestCloseWaitsForAbandonedAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := st.Entries(); err != nil || n != 1 {
-		t.Fatalf("store holds %d entries (err %v) after Close, want the abandoned analysis's 1", n, err)
+	key := cacheKey(ts.Hash(), analysis.DPCPpEN, analysis.Options{}, false)
+	if _, ok, err := st.Get(key); !ok || err != nil {
+		t.Fatalf("store lacks the abandoned analysis's entry after Close (ok %v, err %v)", ok, err)
 	}
 }
 

@@ -564,7 +564,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ms, opts, ok := s.validateOptions(w, req.Methods, req.PathCap, req.Placement)
+	ms, opts, ok := s.validateOptions(w, analysis.ParseMethods, req.Methods, req.PathCap, req.Placement)
 	if !ok {
 		return
 	}
@@ -661,7 +661,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if decodeBody(w, r, &req) != nil {
 		return
 	}
-	ms, opts, ok := s.validateOptions(w, req.Methods, req.PathCap, req.Placement)
+	ms, opts, ok := s.validateOptions(w, analysis.ParseMethods, req.Methods, req.PathCap, req.Placement)
 	if !ok {
 		return
 	}
@@ -749,12 +749,13 @@ func (s *Server) analyzeOne(ctx context.Context, h model.Hash, ts *model.Taskset
 	return resp, nil
 }
 
-// validateOptions resolves methods, path cap and placement, writing a 400
-// on any invalid field.
-func (s *Server) validateOptions(w http.ResponseWriter, methods []string,
-	pathCap int, placement string) ([]analysis.Method, analysis.Options, bool) {
+// validateOptions resolves methods (through parseMethods), path cap and
+// placement, writing a 400 on the first invalid field. Every analysis
+// endpoint validates its options here.
+func (s *Server) validateOptions(w http.ResponseWriter, parseMethods func([]string) ([]analysis.Method, error),
+	methods []string, pathCap int, placement string) ([]analysis.Method, analysis.Options, bool) {
 
-	ms, err := analysis.ParseMethods(methods)
+	ms, err := parseMethods(methods)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, analysis.Options{}, false

@@ -480,6 +480,8 @@ func TestHostileRequests(t *testing.T) {
 		{"unknown method", "/v1/analyze", `{"taskset":` + valid + `,"methods":["DPCP-q"]}`, http.StatusBadRequest},
 		{"bad placement", "/v1/analyze", `{"taskset":` + valid + `,"placement":"best"}`, http.StatusBadRequest},
 		{"negative path cap", "/v1/analyze", `{"taskset":` + valid + `,"path_cap":-1}`, http.StatusBadRequest},
+		{"delta negative path cap", "/v1/analyze/delta", `{"base_taskset":` + valid + `,"patch":{"ops":[]},"path_cap":-1}`, http.StatusBadRequest},
+		{"delta bad placement", "/v1/analyze/delta", `{"base_taskset":` + valid + `,"patch":{"ops":[]},"placement":"best"}`, http.StatusBadRequest},
 		{"hostile vertex id", "/v1/analyze",
 			`{"taskset":{"tasks":[{"id":0,"period":1000,"deadline":1000,"vertices":[{"id":9,"wcet":10}]}],"num_resources":0,"num_procs":2}}`,
 			http.StatusBadRequest},

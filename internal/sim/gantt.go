@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dpcpp/internal/rt"
@@ -46,22 +45,5 @@ func Gantt(spans []Span, numProcs int, horizon, bucket rt.Time) string {
 		fmt.Fprintf(&b, "P%-3d |%s|\n", i, row)
 	}
 	b.WriteString("legend: '=' non-critical  '#' local CS  'A' agent (global CS)  '.' idle\n")
-	return b.String()
-}
-
-// TraceLog renders the trace as a chronological event list.
-func TraceLog(spans []Span) string {
-	sorted := append([]Span(nil), spans...)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].From != sorted[b].From {
-			return sorted[a].From < sorted[b].From
-		}
-		return sorted[a].Proc < sorted[b].Proc
-	})
-	var b strings.Builder
-	for _, sp := range sorted {
-		fmt.Fprintf(&b, "[%8s, %8s) P%-2d %s\n",
-			rt.FormatTime(sp.From), rt.FormatTime(sp.To), sp.Proc, sp.What)
-	}
 	return b.String()
 }

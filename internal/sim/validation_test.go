@@ -67,7 +67,7 @@ func TestFigure1Schedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v := s.Violations(); len(v) > 0 {
-		t.Fatalf("violations: %v\n%s", v, TraceLog(s.Trace()))
+		t.Fatalf("violations: %v\ntrace: %v", v, s.Trace())
 	}
 	if m.DeadlineMisses != 0 {
 		t.Errorf("deadline misses: %d", m.DeadlineMisses)

@@ -112,7 +112,7 @@ func TestTornWriteLeavesTempAndOldValue(t *testing.T) {
 	if temps != 1 {
 		t.Fatalf("%d temp files after torn write, want exactly 1 left behind", temps)
 	}
-	if n, err := s.Entries(); err != nil || n != 1 {
+	if n, err := entries(s); err != nil || n != 1 {
 		t.Fatalf("Entries = %d, %v; torn-write debris must not count", n, err)
 	}
 	// A fresh Open on the littered directory — the restart after the

@@ -27,7 +27,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 )
 
@@ -149,8 +148,10 @@ func (s *Store) Put(key string, val []byte) error {
 	return s.WriteFile(path, val, false)
 }
 
-// WriteFile writes data to path through the same temp-file + rename
-// protocol as WriteFileAtomic, under the store's fault-injection hooks.
+// WriteFile writes data to path through a same-directory temp file and
+// rename, under the store's fault-injection hooks, so concurrent readers
+// never observe a partial file and a crash leaves either the old content
+// or the new, never a torn write.
 // With sync set, the temp file is fsynced before the rename and the parent
 // directory after it, so the rename itself survives power loss — without
 // it, an "atomic" write can be acknowledged and then vanish entirely when
@@ -181,58 +182,6 @@ func (s *Store) Remove(path string, sync bool) error {
 		return syncDir(filepath.Dir(path))
 	}
 	return nil
-}
-
-// Entries counts the stored values; it walks the store's shard
-// directories, so it is for tests and operator tooling, not hot paths.
-// Only content-addressed entries are counted: foreign files sharing the
-// root (e.g. the analysis server's sweep-job checkpoints under jobs/) and
-// temp files orphaned by a crash mid-Put are excluded.
-func (s *Store) Entries() (int, error) {
-	tops, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, top := range tops {
-		if !top.IsDir() || !isHexShard(top.Name()) {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, top.Name()))
-		if err != nil {
-			return 0, err
-		}
-		for _, f := range files {
-			if !f.IsDir() && !strings.Contains(f.Name(), ".tmp") {
-				n++
-			}
-		}
-	}
-	return n, nil
-}
-
-// isHexShard reports whether name is a two-character lowercase-hex shard
-// directory of the store layout.
-func isHexShard(name string) bool {
-	if len(name) != 2 {
-		return false
-	}
-	for i := 0; i < 2; i++ {
-		c := name[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// WriteFileAtomic writes data to path through a same-directory temp file
-// and rename, so concurrent readers never observe a partial file and a
-// crash leaves either the old content or the new, never a torn write. It
-// does not fsync (see Store.WriteFile for the durable variant and the
-// tradeoff).
-func WriteFileAtomic(path string, data []byte) error {
-	return writeFileAtomic(path, data, false, nil)
 }
 
 func writeFileAtomic(path string, data []byte, sync bool, h *Hooks) error {

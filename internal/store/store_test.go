@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -33,7 +34,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, ok, _ := s.Get(key + "x"); ok {
 		t.Fatal("distinct key aliased")
 	}
-	if n, err := s.Entries(); err != nil || n != 1 {
+	if n, err := entries(s); err != nil || n != 1 {
 		t.Fatalf("Entries = %d, %v; want 1", n, err)
 	}
 }
@@ -63,7 +64,7 @@ func TestStoreSurvivesReopen(t *testing.T) {
 			t.Fatalf("key-%d after reopen: %q, %v, %v", i, got, ok, err)
 		}
 	}
-	if m, err := s2.Entries(); err != nil || m != n {
+	if m, err := entries(s2); err != nil || m != n {
 		t.Fatalf("Entries after reopen = %d, %v; want %d", m, err, n)
 	}
 }
@@ -119,7 +120,7 @@ func TestEntriesCountsOnlyStoredValues(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(shard, "x.tmp123"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := s.Entries(); err != nil || n != 2 {
+	if n, err := entries(s); err != nil || n != 2 {
 		t.Fatalf("Entries = %d, %v; want 2 (checkpoints and temp files excluded)", n, err)
 	}
 }
@@ -130,11 +131,17 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicLeavesNoTemp: WriteFile's temp-file + rename
+// protocol replaces the content and leaves no temp file behind.
 func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, "checkpoint.json")
 	for i := 0; i < 3; i++ {
-		if err := WriteFileAtomic(path, []byte(fmt.Sprintf("state-%d", i))); err != nil {
+		if err := s.WriteFile(path, []byte(fmt.Sprintf("state-%d", i)), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,4 +156,46 @@ func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("directory holds %d entries (temp files leaked?)", len(ents))
 	}
+}
+
+// entries counts the values stored in s by walking its shard directories.
+// Only content-addressed entries are counted: foreign files sharing the
+// root (e.g. the analysis server's sweep-job checkpoints under jobs/) and
+// temp files orphaned by a crash mid-Put are excluded.
+func entries(s *Store) (int, error) {
+	tops, err := os.ReadDir(s.dir)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, top := range tops {
+		if !top.IsDir() || !isHexShard(top.Name()) {
+			continue
+		}
+		files, err := os.ReadDir(filepath.Join(s.dir, top.Name()))
+		if err != nil {
+			return 0, err
+		}
+		for _, f := range files {
+			if !f.IsDir() && !strings.Contains(f.Name(), ".tmp") {
+				n++
+			}
+		}
+	}
+	return n, nil
+}
+
+// isHexShard reports whether name is a two-character lowercase-hex shard
+// directory of the store layout.
+func isHexShard(name string) bool {
+	if len(name) != 2 {
+		return false
+	}
+	for i := 0; i < 2; i++ {
+		c := name[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -37,15 +37,6 @@ const (
 	numShapes
 )
 
-// Shapes lists every adversarial shape in deterministic order.
-func Shapes() []Shape {
-	out := make([]Shape, numShapes)
-	for i := range out {
-		out[i] = Shape(i)
-	}
-	return out
-}
-
 func (s Shape) String() string {
 	switch s {
 	case ShapeChain:

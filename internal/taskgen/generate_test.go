@@ -233,7 +233,7 @@ func TestGenerateHeavyContentionScenario(t *testing.T) {
 	// dropped some; verify at least substantial sharing happened.
 	shared := 0
 	for q := 0; q < ts.NumResources; q++ {
-		if len(ts.SharedBy(rt.ResourceID(q))) >= 2 {
+		if ts.IsGlobal(rt.ResourceID(q)) {
 			shared++
 		}
 	}
