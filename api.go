@@ -100,7 +100,8 @@ func TestWith(sc *Scratch, m Method, ts *Taskset, opts Options) Result {
 	return analysis.TestWith(sc, m, ts, opts)
 }
 
-// Schedulable returns only the verdict of Test.
+// Schedulable returns only the verdict of Test, stopping the DPCP-p
+// analyses at the first deadline miss of every partitioning round.
 func Schedulable(m Method, ts *Taskset, opts Options) bool {
 	return analysis.Schedulable(m, ts, opts)
 }

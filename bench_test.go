@@ -498,14 +498,16 @@ func BenchmarkFig2Sweep(b *testing.B) {
 // BenchmarkGridSweep measures the grid-level experiment scheduler: many
 // scenarios drained by one shared worker pool (versus the historical
 // scenario-at-a-time sweep whose per-scenario pools idle through each
-// scenario's tail).
+// scenario's tail). Every sample takes the verdict-only analysis path.
+// Two workers keep allocs/op independent of the machine's core count;
+// gated by cmd/benchgate.
 func BenchmarkGridSweep(b *testing.B) {
 	full := taskgen.Grid()
 	var grid []taskgen.Scenario
 	for i := 0; i < len(full); i += 27 {
 		grid = append(grid, full[i])
 	}
-	tmpl := experiments.Campaign{TasksetsPerPoint: 2, Seed: 2020}
+	tmpl := experiments.Campaign{TasksetsPerPoint: 2, Seed: 2020, Parallelism: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunGrid(tmpl, grid); err != nil {

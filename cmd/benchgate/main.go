@@ -47,13 +47,14 @@ type benchGroup struct{ bench, benchtime, pkg string }
 // observability overhead at zero extra allocations, the incremental
 // delta path whose cache-hit-territory latency POST /v1/analyze/delta
 // claims, taskset generation and decoding, the whole Fig. 2 sweep those
-// layers compose into, and one /v1/analyze request from body read to
+// layers compose into, a slice of the Sec. VII-A grid through the same
+// verdict-only sweep path, and one /v1/analyze request from body read to
 // encoded response, cold and as an exact-body cache hit. Fixed -benchtime
-// iteration counts keep allocs/op deterministic; one sweep op takes about
-// half a second, so the sweep group runs fewer of them.
+// iteration counts keep allocs/op deterministic; one sweep op takes a few
+// tenths of a second, so the sweep group runs fewer of them.
 var defaultSuite = []benchGroup{
 	{"BenchmarkAnalysisMethods|BenchmarkPathEnumeration|BenchmarkInstrumentedAnalysis|BenchmarkDeltaAnalyze|BenchmarkTaskGeneration|BenchmarkDecodeTaskset", "100x", ""},
-	{"BenchmarkFig2Sweep", "5x", ""},
+	{"BenchmarkFig2Sweep|BenchmarkGridSweep", "5x", ""},
 	{"BenchmarkServerAnalyze/^(fig2a-cold|fig2a-hit|fig2ac-cold)$", "100x", "./internal/server"},
 }
 

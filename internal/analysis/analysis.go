@@ -92,13 +92,39 @@ func Test(m Method, ts *model.Taskset, opts Options) partition.Result {
 // scratch moves on to the next taskset. A Scratch serves one goroutine at a
 // time.
 func TestWith(sc *Scratch, m Method, ts *model.Taskset, opts Options) partition.Result {
+	return test(sc, m, ts, opts, false)
+}
+
+// Schedulable runs Test for the verdict only.
+func Schedulable(m Method, ts *model.Taskset, opts Options) bool {
+	return SchedulableWith(nil, m, ts, opts)
+}
+
+// SchedulableWith is Schedulable computing through a caller-recycled
+// Scratch, as TestWith is for Test. It is the sweep path: the DPCP-p
+// analyses end every partitioning round, the final one included, at the
+// first task that misses its deadline, since nothing after it can change
+// the verdict. The verdict equals TestWith's; the bounds behind it are not
+// all computed, so a verdict-only run has no usable WCRT map.
+func SchedulableWith(sc *Scratch, m Method, ts *model.Taskset, opts Options) bool {
+	return test(sc, m, ts, opts, true).Schedulable
+}
+
+// test is TestWith, or with verdictOnly the run behind SchedulableWith,
+// whose Result matches TestWith's in Schedulable, Rounds, Reason and
+// Partition but whose WCRT map may lack tasks.
+func test(sc *Scratch, m Method, ts *model.Taskset, opts Options, verdictOnly bool) partition.Result {
 	switch m {
 	case DPCPpEP, DPCPpEN:
 		if sc == nil {
 			sc = NewScratch()
 		}
 		en := m == DPCPpEN
-		return partition.Algorithm1(ts, newDPCPp(sc, ts, opts.pathCap(), en), opts.Placement)
+		a := newDPCPp(sc, ts, opts.pathCap(), en)
+		if verdictOnly {
+			return partition.Algorithm1(ts, everyRoundUntilMiss{a}, opts.Placement)
+		}
+		return partition.Algorithm1(ts, a, opts.Placement)
 	case SPIN:
 		return partition.IterativeFederated(ts, NewSpin(ts))
 	case LPP:
@@ -108,11 +134,6 @@ func TestWith(sc *Scratch, m Method, ts *model.Taskset, opts Options) partition.
 	default:
 		panic(fmt.Sprintf("analysis: unknown method %q", m))
 	}
-}
-
-// Schedulable is a convenience wrapper returning only the verdict.
-func Schedulable(m Method, ts *model.Taskset, opts Options) bool {
-	return Test(m, ts, opts).Schedulable
 }
 
 // knownOrDeadline returns the response-time bound to use for eta terms:

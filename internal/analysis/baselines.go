@@ -36,13 +36,15 @@ type Spin struct {
 	ts     *model.Taskset
 	vcount map[rt.TaskID][]int64
 	bounds map[rt.TaskID]*model.PathBounds
+	wcrts  map[rt.TaskID]rt.Time // WCRTs' result, rewritten every call
 }
 
 // NewSpin returns a SPIN-SON analyzer over the taskset.
 func NewSpin(ts *model.Taskset) *Spin {
 	s := &Spin{ts: ts,
 		vcount: make(map[rt.TaskID][]int64, len(ts.Tasks)),
-		bounds: make(map[rt.TaskID]*model.PathBounds, len(ts.Tasks))}
+		bounds: make(map[rt.TaskID]*model.PathBounds, len(ts.Tasks)),
+		wcrts:  make(map[rt.TaskID]rt.Time, len(ts.Tasks))}
 	for _, t := range ts.Tasks {
 		s.vcount[t.ID] = vertexCount(ts, t)
 		s.bounds[t.ID] = t.ComputePathBounds()
@@ -50,13 +52,13 @@ func NewSpin(ts *model.Taskset) *Spin {
 	return s
 }
 
-// WCRTs implements partition.Analyzer.
+// WCRTs implements partition.Analyzer. The returned map is the analyzer's
+// own, valid until the next WCRTs call.
 func (s *Spin) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
-	out := make(map[rt.TaskID]rt.Time, len(s.ts.Tasks))
 	for _, t := range s.ts.Tasks {
-		out[t.ID] = s.taskWCRT(p, t)
+		s.wcrts[t.ID] = s.taskWCRT(p, t)
 	}
-	return out
+	return s.wcrts
 }
 
 func (s *Spin) taskWCRT(p *partition.Partition, t *model.Task) rt.Time {
@@ -124,13 +126,15 @@ type LPPAnalyzer struct {
 	ts     *model.Taskset
 	vcount map[rt.TaskID][]int64
 	bounds map[rt.TaskID]*model.PathBounds
+	wcrts  map[rt.TaskID]rt.Time // WCRTs' result, rewritten every call
 }
 
 // NewLPP returns an LPP analyzer over the taskset.
 func NewLPP(ts *model.Taskset) *LPPAnalyzer {
 	a := &LPPAnalyzer{ts: ts,
 		vcount: make(map[rt.TaskID][]int64, len(ts.Tasks)),
-		bounds: make(map[rt.TaskID]*model.PathBounds, len(ts.Tasks))}
+		bounds: make(map[rt.TaskID]*model.PathBounds, len(ts.Tasks)),
+		wcrts:  make(map[rt.TaskID]rt.Time, len(ts.Tasks))}
 	for _, t := range ts.Tasks {
 		a.vcount[t.ID] = vertexCount(ts, t)
 		a.bounds[t.ID] = t.ComputePathBounds()
@@ -138,13 +142,13 @@ func NewLPP(ts *model.Taskset) *LPPAnalyzer {
 	return a
 }
 
-// WCRTs implements partition.Analyzer.
+// WCRTs implements partition.Analyzer. The returned map is the analyzer's
+// own, valid until the next WCRTs call.
 func (a *LPPAnalyzer) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
-	out := make(map[rt.TaskID]rt.Time, len(a.ts.Tasks))
 	for _, t := range a.ts.Tasks {
-		out[t.ID] = a.taskWCRT(p, t)
+		a.wcrts[t.ID] = a.taskWCRT(p, t)
 	}
-	return out
+	return a.wcrts
 }
 
 func (a *LPPAnalyzer) taskWCRT(p *partition.Partition, t *model.Task) rt.Time {
@@ -180,23 +184,26 @@ func (a *LPPAnalyzer) taskWCRT(p *partition.Partition, t *model.Task) rt.Time {
 // FedFP is the FED-FP baseline: plain federated scheduling with shared
 // resources ignored (Li et al.), the hypothetical upper envelope of Fig. 2.
 type FedFP struct {
-	ts *model.Taskset
+	ts    *model.Taskset
+	wcrts map[rt.TaskID]rt.Time // WCRTs' result, rewritten every call
 }
 
 // NewFedFP returns a FED-FP analyzer over the taskset.
-func NewFedFP(ts *model.Taskset) *FedFP { return &FedFP{ts: ts} }
+func NewFedFP(ts *model.Taskset) *FedFP {
+	return &FedFP{ts: ts, wcrts: make(map[rt.TaskID]rt.Time, len(ts.Tasks))}
+}
 
 // WCRTs implements partition.Analyzer with the classic federated bound
-// r = L* + (C - L*) / m_i.
+// r = L* + (C - L*) / m_i. The returned map is the analyzer's own, valid
+// until the next WCRTs call.
 func (f *FedFP) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
-	out := make(map[rt.TaskID]rt.Time, len(f.ts.Tasks))
 	for _, t := range f.ts.Tasks {
 		mi := int64(p.NumProcs(t.ID))
 		if mi == 0 {
 			mi = 1
 		}
-		out[t.ID] = rt.SatAdd(t.LongestPath(),
+		f.wcrts[t.ID] = rt.SatAdd(t.LongestPath(),
 			rt.CeilDiv(t.WCET()-t.LongestPath(), mi))
 	}
-	return out
+	return f.wcrts
 }

@@ -69,14 +69,29 @@ func newDPCPp(sc *Scratch, ts *model.Taskset, pathCap int, en bool) *DPCPp {
 		byPrio: ts.ByPriorityDesc()}
 }
 
-// WCRTs implements partition.Analyzer: it analyzes tasks from highest to
-// lowest priority so that eta terms can use the already-computed bounds of
-// higher-priority tasks (Sec. IV-B).
+// WCRTs implements partition.Analyzer: it returns every task's bound,
+// analyzing tasks from highest to lowest priority so that eta terms can use
+// the already-computed bounds of higher-priority tasks (Sec. IV-B).
 //
-// The returned map is scratch-owned and valid until the next WCRTs call on
-// this analyzer; internal/partition copies it into every Result it hands
-// out.
+// The returned map is scratch-owned and valid until the next WCRTs or
+// WCRTsUntilMiss call on this analyzer; internal/partition copies it into
+// every Result it hands out.
 func (a *DPCPp) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+	return a.analyze(p, false)
+}
+
+// WCRTsUntilMiss implements partition.UntilMissAnalyzer: the same pass as
+// WCRTs, ended after the first task whose bound exceeds its deadline. A
+// lower-priority bound never feeds a higher-priority one, so every bound
+// it returns equals WCRTs'. Delta capture needs every task's internals, so
+// a capturing analyzer always runs the full pass.
+func (a *DPCPp) WCRTsUntilMiss(p *partition.Partition) map[rt.TaskID]rt.Time {
+	return a.analyze(p, a.cap == nil)
+}
+
+// analyze is the one priority-ordered pass behind WCRTs and
+// WCRTsUntilMiss; untilMiss ends it at the first deadline miss.
+func (a *DPCPp) analyze(p *partition.Partition, untilMiss bool) map[rt.TaskID]rt.Time {
 	round := a.sc.stageStart()
 	if a.cap != nil {
 		a.cap.reset()
@@ -84,10 +99,24 @@ func (a *DPCPp) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
 	wcrts := a.sc.wcrts
 	clear(wcrts)
 	for _, t := range a.byPrio {
-		wcrts[t.ID] = a.taskWCRT(p, t, wcrts)
+		r := a.taskWCRT(p, t, wcrts)
+		wcrts[t.ID] = r
+		if untilMiss && r > t.Deadline {
+			break
+		}
 	}
 	a.sc.stageEnd(StageRound, round)
 	return wcrts
+}
+
+// everyRoundUntilMiss is the analyzer of the verdict-only path: every
+// round, the final one included, ends at its first deadline miss. The
+// verdict and the round count equal the full path's; the bounds after the
+// final round's miss are missing from the Result's WCRT map.
+type everyRoundUntilMiss struct{ a *DPCPp }
+
+func (e everyRoundUntilMiss) WCRTs(p *partition.Partition) map[rt.TaskID]rt.Time {
+	return e.a.WCRTsUntilMiss(p)
 }
 
 // pathView abstracts "one candidate worst-case path": a signature-collapsed

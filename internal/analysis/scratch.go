@@ -18,8 +18,8 @@ const (
 	// StageFixPoint is the batched response-time fixed-point iteration of
 	// one task's view set (rta.FixPointBatch inside taskWCRT).
 	StageFixPoint
-	// StageRound is one full WCRTs pass over the taskset — one round of
-	// the partitioning loop.
+	// StageRound is one WCRTs or WCRTsUntilMiss pass over the taskset —
+	// one round of the partitioning loop.
 	StageRound
 	// NumStages sizes recorder arrays.
 	NumStages

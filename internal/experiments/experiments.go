@@ -233,7 +233,7 @@ func RunGridProgress(template Campaign, scenarios []taskgen.Scenario,
 				scratch[w] = analysis.NewScratch()
 			}
 			for i, m := range sw.Methods {
-				ok[i] = analysis.TestWith(scratch[w], m, ts, template.Options).Schedulable
+				ok[i] = analysis.SchedulableWith(scratch[w], m, ts, template.Options)
 			}
 			return nil
 		},

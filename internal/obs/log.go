@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -49,14 +48,6 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 // NopLogger discards everything; the server's default when no logger is
 // configured, so call sites never branch on nil.
 func NopLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
-
-type loggerKey struct{}
-
-// WithLogger attaches a request-scoped logger (typically carrying a
-// request_id attribute) to the context.
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey{}, l)
-}
 
 // Build identifies the running binary, read once from the build info the
 // Go toolchain embeds.

@@ -50,12 +50,6 @@ func TestLoggerContextRoundTrip(t *testing.T) {
 	if NopLogger().Enabled(context.Background(), slog.LevelError) {
 		t.Fatal("the default logger must discard everything")
 	}
-	var buf bytes.Buffer
-	l, _ := NewLogger(&buf, "info", "text")
-	ctx := WithLogger(context.Background(), l)
-	if got, _ := ctx.Value(loggerKey{}).(*slog.Logger); got != l {
-		t.Fatal("logger did not round-trip through the context")
-	}
 }
 
 func TestBuildInfo(t *testing.T) {

@@ -246,15 +246,39 @@ func InitialProcs(t *model.Task) (int, error) {
 // Analyzer computes the worst-case response time of each task under a
 // candidate partition; tasks must be analyzable in any order (the analysis
 // itself walks priorities internally). Implemented by internal/analysis.
+//
+// An Analyzer may also implement UntilMissAnalyzer. Algorithm 1 reads a
+// round's bounds in priority order only up to the first deadline miss: it
+// grants that task one more processor and starts a new round, so the
+// bounds below the miss are never read. While processors remain
+// unassigned, the partitioning loops therefore ask an UntilMissAnalyzer
+// only for that prefix. A round with no miss gets every bound either way.
+// A round with no processor left always calls WCRTs: it is the final round
+// whatever it finds, and its map becomes the Result.WCRT that callers
+// serve and explain, so it must hold every task's bound.
 type Analyzer interface {
 	// WCRTs returns a response-time bound per task. A bound above the
 	// task's deadline (or rt.Infinity) marks the task unschedulable under
 	// this partition.
 	//
 	// The returned map may be analyzer-owned scratch, valid only until the
-	// next WCRTs call on the same analyzer. The partitioning loops below
-	// respect that lifetime and copy the map into any Result they return.
+	// next WCRTs or WCRTsUntilMiss call on the same analyzer. The
+	// partitioning loops below respect that lifetime and copy the map into
+	// any Result they return.
 	WCRTs(p *Partition) map[rt.TaskID]rt.Time
+}
+
+// UntilMissAnalyzer is an Analyzer that can stop a round at its first
+// deadline miss (see Analyzer). Analyzers whose per-task bounds are cheap
+// closed forms need not implement it.
+type UntilMissAnalyzer interface {
+	Analyzer
+	// WCRTsUntilMiss returns the bounds WCRTs would return for the tasks
+	// in descending priority order up to and including the first one whose
+	// bound exceeds its deadline, and no bound for any task after it. With
+	// no miss it returns every task's bound. The map's lifetime is that of
+	// WCRTs' map.
+	WCRTsUntilMiss(p *Partition) map[rt.TaskID]rt.Time
 }
 
 // copyWCRTs detaches a WCRT map from its (possibly scratch-owned) analyzer
@@ -310,8 +334,10 @@ func IterativeFederated(ts *model.Taskset, a Analyzer) Result {
 // own; each round re-places the global resources (place, nil for the
 // resource-free baselines), analyzes, and grants one more processor to the
 // highest-priority task that misses its deadline, until every task meets
-// it or no processor remains.
+// it or no processor remains. Rounds that still have a processor to grant
+// stop at the first miss when the analyzer allows it (see Analyzer).
 func augment(ts *model.Taskset, a Analyzer, place func(*Partition) bool) Result {
+	um, _ := a.(UntilMissAnalyzer)
 	p := New(ts)
 	for _, t := range ts.Tasks {
 		mi, err := InitialProcs(t)
@@ -340,7 +366,12 @@ func augment(ts *model.Taskset, a Analyzer, place func(*Partition) bool) Result 
 					Reason: "infeasible global resource allocation"}
 			}
 		}
-		wcrts := a.WCRTs(p)
+		var wcrts map[rt.TaskID]rt.Time
+		if um != nil && p.Unassigned() > 0 {
+			wcrts = um.WCRTsUntilMiss(p)
+		} else {
+			wcrts = a.WCRTs(p)
+		}
 		augmented := false
 		for _, t := range byPrio {
 			if wcrts[t.ID] <= t.Deadline {

@@ -145,8 +145,10 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 // sweepVerdicts is the per-sample callback of every server-side sweep
 // (the grid stream and sweep jobs): each method's verdict through the
 // engine, so sweeps share the result cache, the store and the worker
-// slots with interactive requests. An engine error (ctx ended while the
-// analysis was queued) abandons the sample.
+// slots with interactive requests. It stays on the full analysis path
+// rather than analysis.SchedulableWith's verdict-only one, because every
+// result enters the cache that /v1/analyze serves WCRTs from. An engine
+// error (ctx ended while the analysis was queued) abandons the sample.
 func (e *engine) sweepVerdicts(ctx context.Context, ms []analysis.Method,
 	opts analysis.Options) func(int, *model.Taskset, []bool) error {
 

@@ -144,10 +144,7 @@ func (j *sweepJob) resolve() error {
 	if spec.N < 1 || spec.N > maxGridSamples {
 		return fmt.Errorf("invalid n %d (1..%d)", spec.N, maxGridSamples)
 	}
-	if spec.PathCap < 0 {
-		return fmt.Errorf("negative path_cap %d", spec.PathCap)
-	}
-	ms, err := analysis.ParseMethods(spec.Methods)
+	ms, opts, err := parseOptions(analysis.ParseMethods, spec.Methods, spec.PathCap, spec.Placement)
 	if err != nil {
 		return err
 	}
@@ -157,11 +154,7 @@ func (j *sweepJob) resolve() error {
 	for _, m := range ms {
 		spec.Methods = append(spec.Methods, string(m))
 	}
-	pl, err := parsePlacement(spec.Placement)
-	if err != nil {
-		return err
-	}
-	j.ms, j.opts = ms, analysis.Options{PathCap: spec.PathCap, Placement: pl}
+	j.ms, j.opts = ms, opts
 	j.scens = make([]taskgen.Scenario, len(spec.Scenarios))
 	if j.cp.Points == nil {
 		j.cp.Points = make([][]*GridPoint, len(spec.Scenarios))

@@ -166,6 +166,35 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
+// TestSweepOptionErrorsMatchAnalyze: a sweep spec and an /v1/analyze body
+// carrying the same invalid options fail with the same error text, because
+// both check them in one place and in one order.
+func TestSweepOptionErrorsMatchAnalyze(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	valid := string(tasksetJSON(t, testTaskset(t, 0)))
+	for _, tc := range []struct{ name, opts string }{
+		{"unknown method and negative path cap", `"methods":["DPCP-q"],"path_cap":-1`},
+		{"negative path cap and bad placement", `"path_cap":-1,"placement":"best"`},
+		{"unknown method and bad placement", `"methods":["DPCP-q"],"placement":"best"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var errs [2]errorResponse
+			for i, req := range [][2]string{
+				{"/v1/sweeps", `{"scenarios":["2a"],` + tc.opts + `}`},
+				{"/v1/analyze", `{"taskset":` + valid + `,` + tc.opts + `}`},
+			} {
+				w := post(t, s, req[0], []byte(req[1]))
+				if err := json.Unmarshal(w.Body.Bytes(), &errs[i]); err != nil || w.Code != http.StatusBadRequest {
+					t.Fatalf("%s: status %d, body %s", req[0], w.Code, w.Body.String())
+				}
+			}
+			if errs[0].Error != errs[1].Error {
+				t.Errorf("sweep error %q, analyze error %q", errs[0].Error, errs[1].Error)
+			}
+		})
+	}
+}
+
 // TestSweepRestartResumesByteIdentical is the durability acceptance test:
 // a server is killed mid-sweep (its runner stopped, partial progress
 // checkpointed), a fresh server on the same store directory resumes the

@@ -749,27 +749,37 @@ func (s *Server) analyzeOne(ctx context.Context, h model.Hash, ts *model.Taskset
 	return resp, nil
 }
 
-// validateOptions resolves methods (through parseMethods), path cap and
-// placement, writing a 400 on the first invalid field. Every analysis
-// endpoint validates its options here.
-func (s *Server) validateOptions(w http.ResponseWriter, parseMethods func([]string) ([]analysis.Method, error),
-	methods []string, pathCap int, placement string) ([]analysis.Method, analysis.Options, bool) {
+// parseOptions resolves methods (through parseMethods), path cap and
+// placement, failing on the first invalid field in that order. Every
+// analysis endpoint and every sweep spec checks its options here, so the
+// same options get the same error everywhere.
+func parseOptions(parseMethods func([]string) ([]analysis.Method, error),
+	methods []string, pathCap int, placement string) ([]analysis.Method, analysis.Options, error) {
 
 	ms, err := parseMethods(methods)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, analysis.Options{}, false
+		return nil, analysis.Options{}, err
 	}
 	if pathCap < 0 {
-		writeError(w, http.StatusBadRequest, "negative path_cap %d", pathCap)
-		return nil, analysis.Options{}, false
+		return nil, analysis.Options{}, fmt.Errorf("negative path_cap %d", pathCap)
 	}
 	pl, err := parsePlacement(placement)
+	if err != nil {
+		return nil, analysis.Options{}, err
+	}
+	return ms, analysis.Options{PathCap: pathCap, Placement: pl}, nil
+}
+
+// validateOptions is parseOptions writing a 400 on an invalid field.
+func (s *Server) validateOptions(w http.ResponseWriter, parseMethods func([]string) ([]analysis.Method, error),
+	methods []string, pathCap int, placement string) ([]analysis.Method, analysis.Options, bool) {
+
+	ms, opts, err := parseOptions(parseMethods, methods, pathCap, placement)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, analysis.Options{}, false
 	}
-	return ms, analysis.Options{PathCap: pathCap, Placement: pl}, true
+	return ms, opts, true
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
